@@ -102,10 +102,4 @@ class Table {
 /// table into a BENCH_*.json artifact for CI trend tracking.
 std::string json_flag(int argc, char** argv);
 
-/// Shared numeric `--NAME N` flag for bench binaries (e.g.
-/// `micro_engine_ops --threads 8`): returns N when present and parseable,
-/// `fallback` otherwise.
-std::size_t size_flag(int argc, char** argv, const char* name,
-                      std::size_t fallback);
-
 }  // namespace chopper::bench

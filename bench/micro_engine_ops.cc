@@ -5,18 +5,13 @@
 // Two layers:
 //  * The always-run data-plane sections compare the batched SoA
 //    implementations (engine/dataplane) against faithful replicas of the
-//    pre-§13 per-record code (vector<Record> buckets, unordered_map merges)
-//    and the §18 parallel paths (`--threads N`, default 4), and enforce:
-//      - the allocation contract with a global operator-new counter (the
-//        counter is a relaxed atomic, so the parallel sections count
-//        correctly): batched AND parallel paths must allocate at least 4x
-//        fewer times than legacy, and the parallel shuffle/merge paths at
-//        most 2x the batched baseline;
-//      - bit-identity: every parallel section's output must checksum equal
-//        to the sequential batched output;
-//      - parallel speedup vs batched: >= 2.5x at >= 4 threads (and >= 4x at
-//        >= 8) on shuffle_write_hash and reduce_merge — enforced only when
-//        the host actually has that many cores, else printed and skipped.
+//    pre-§13 per-record code (vector<Record> buckets, unordered_map merges),
+//    and enforce:
+//      - the allocation contract with a global operator-new counter: the
+//        batched paths must allocate at least 4x fewer times than legacy;
+//      - map-side combine speed at scale: on the large-input row (2^22
+//        records, 4096 keys) the batched combine must be at least as fast
+//        as the legacy per-bucket hash maps.
 //    `--json PATH` mirrors the section table into a BENCH_*.json artifact.
 //  * google-benchmark micro-timers for profiling individual primitives.
 //
@@ -35,13 +30,11 @@
 #include <memory>
 #include <new>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "engine/dataplane.h"
 #include "engine/partition.h"
 #include "engine/partitioner.h"
@@ -50,9 +43,9 @@
 #include "obs/sinks.h"
 
 namespace {
-// Relaxed atomic: the parallel data-plane sections allocate from pool
-// worker threads concurrently, and the gate only needs an exact total at
-// the (single-threaded) sample points — no ordering required.
+// Relaxed atomic: the engine sections allocate from task threads, and the
+// gates only need an exact total at the single-threaded sample points — no
+// ordering required.
 std::atomic<std::size_t> g_allocs{0};
 }  // namespace
 
@@ -102,28 +95,16 @@ struct Section {
   std::size_t records = 0;
   double legacy_s = 0.0;
   double batched_s = 0.0;
-  double parallel_s = 0.0;  ///< batched path under the --threads pool
   std::size_t legacy_allocs = 0;
   std::size_t batched_allocs = 0;
-  std::size_t parallel_allocs = 0;
-  bool bit_identical = true;  ///< parallel output checksums == batched
 
   double speedup() const { return legacy_s / std::max(batched_s, 1e-12); }
-  /// Parallel speedup over the single-threaded batched path — the number
-  /// the 2.5x/4x CI gate reads.
-  double parallel_speedup() const {
-    return batched_s / std::max(parallel_s, 1e-12);
-  }
   double legacy_allocs_per_krec() const {
     return 1e3 * static_cast<double>(legacy_allocs) /
            static_cast<double>(records);
   }
   double batched_allocs_per_krec() const {
     return 1e3 * static_cast<double>(batched_allocs) /
-           static_cast<double>(records);
-  }
-  double parallel_allocs_per_krec() const {
-    return 1e3 * static_cast<double>(parallel_allocs) /
            static_cast<double>(records);
   }
 };
@@ -141,47 +122,31 @@ double best_seconds(F&& f, int reps) {
   return best;
 }
 
-template <typename Legacy, typename Batched, typename Parallel>
+template <typename Legacy, typename Batched>
 Section measure(std::string name, std::size_t records, Legacy&& legacy,
-                Batched&& batched, Parallel&& parallel) {
+                Batched&& batched) {
   Section s;
   s.name = std::move(name);
   s.records = records;
-  legacy();  // warmup (also sizes the parallel path's per-thread scratch)
+  legacy();  // warmup (also sizes the batched path's per-thread scratch)
   batched();
-  parallel();
   std::size_t a0 = g_allocs.load(std::memory_order_relaxed);
   legacy();
   s.legacy_allocs = g_allocs.load(std::memory_order_relaxed) - a0;
   a0 = g_allocs.load(std::memory_order_relaxed);
   batched();
   s.batched_allocs = g_allocs.load(std::memory_order_relaxed) - a0;
-  a0 = g_allocs.load(std::memory_order_relaxed);
-  parallel();
-  s.parallel_allocs = g_allocs.load(std::memory_order_relaxed) - a0;
   s.legacy_s = best_seconds(legacy, 5);
   s.batched_s = best_seconds(batched, 5);
-  s.parallel_s = best_seconds(parallel, 5);
   return s;
-}
-
-bool same_partitions(const std::vector<engine::Partition>& a,
-                     const std::vector<engine::Partition>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].checksum() != b[i].checksum()) return false;
-  }
-  return true;
 }
 
 /// Shuffle write: legacy = per-record partitioner call + per-record
 /// vector<Record> push (the old Partition storage); batched = single-pass
-/// radix scatter into exactly-reserved arenas; parallel = sharded two-pass
-/// scatter on the --threads pool (§18.1).
+/// radix scatter into exactly-reserved arenas.
 Section shuffle_write_section(const engine::Partition& data,
                               const engine::Partitioner& part,
-                              const std::string& name,
-                              const engine::dataplane::ExecContext& ctx) {
+                              const std::string& name) {
   const std::size_t r_count = part.num_partitions();
   auto legacy = [&] {
     std::vector<std::vector<engine::Record>> buckets(r_count);
@@ -197,26 +162,13 @@ Section shuffle_write_section(const engine::Partition& data,
     engine::dataplane::radix_scatter(data, part, buckets);
     benchmark::DoNotOptimize(buckets.data());
   };
-  auto parallel = [&] {
-    std::vector<engine::Partition> buckets(r_count);
-    engine::dataplane::radix_scatter(data, part, buckets, ctx);
-    benchmark::DoNotOptimize(buckets.data());
-  };
-  Section s = measure(name, data.size(), legacy, batched, parallel);
-  std::vector<engine::Partition> seq(r_count);
-  std::vector<engine::Partition> par(r_count);
-  engine::dataplane::radix_scatter(data, part, seq);
-  engine::dataplane::radix_scatter(data, part, par, ctx);
-  s.bit_identical = same_partitions(seq, par);
-  return s;
+  return measure(name, data.size(), legacy, batched);
 }
 
 /// Reduce-side merge: legacy = unordered_map accumulation + sorted-key
-/// emission with a second at() probe per key; batched = stable index sort +
-/// run scan; parallel = range-split k-way merge on the --threads pool
-/// (§18.3).
-Section reduce_merge_section(const std::vector<engine::Partition>& parts,
-                             const engine::dataplane::ExecContext& ctx) {
+/// emission with a second at() probe per key; batched = k-way merge of the
+/// key-sorted runs.
+Section reduce_merge_section(const std::vector<engine::Partition>& parts) {
   std::size_t records = 0;
   for (const auto& p : parts) records += p.size();
   auto legacy = [&] {
@@ -244,29 +196,15 @@ Section reduce_merge_section(const std::vector<engine::Partition>& parts,
         engine::dataplane::merge_reduce_by_key(std::move(copy), sum_fn);
     benchmark::DoNotOptimize(out.size());
   };
-  auto parallel = [&] {
-    std::vector<engine::Partition> copy = parts;
-    const auto out =
-        engine::dataplane::merge_reduce_by_key(std::move(copy), sum_fn, ctx);
-    benchmark::DoNotOptimize(out.size());
-  };
-  Section s = measure("reduce_merge", records, legacy, batched, parallel);
-  std::vector<engine::Partition> c1 = parts;
-  std::vector<engine::Partition> c2 = parts;
-  const auto seq = engine::dataplane::merge_reduce_by_key(std::move(c1), sum_fn);
-  const auto par =
-      engine::dataplane::merge_reduce_by_key(std::move(c2), sum_fn, ctx);
-  s.bit_identical = seq.checksum() == par.checksum();
-  return s;
+  return measure("reduce_merge", records, legacy, batched);
 }
 
 /// Map-side combine: legacy = per-bucket unordered_map + sorted keys +
-/// at() emission; batched = counting sort by bucket + per-bucket combine
-/// table; parallel = sharded histogram + per-bucket-group combine on the
-/// --threads pool (§18.2).
+/// at() emission; batched = one key table over the whole input, then one
+/// bucketing and one sort of the distinct keys.
 Section combine_section(const engine::Partition& data,
                         const engine::Partitioner& part,
-                        const engine::dataplane::ExecContext& ctx) {
+                        const std::string& name) {
   const std::size_t r_count = part.num_partitions();
   auto legacy = [&] {
     std::vector<std::unordered_map<std::uint64_t, engine::Record>> accs(
@@ -294,42 +232,15 @@ Section combine_section(const engine::Partition& data,
     engine::dataplane::combine_scatter(data, part, sum_fn, row);
     benchmark::DoNotOptimize(row.data());
   };
-  auto parallel = [&] {
-    std::vector<engine::Partition> row(r_count);
-    engine::dataplane::combine_scatter(data, part, sum_fn, row, ctx);
-    benchmark::DoNotOptimize(row.data());
-  };
-  Section s = measure("map_side_combine", data.size(), legacy, batched, parallel);
-  std::vector<engine::Partition> seq(r_count);
-  std::vector<engine::Partition> par(r_count);
-  engine::dataplane::combine_scatter(data, part, sum_fn, seq);
-  engine::dataplane::combine_scatter(data, part, sum_fn, par, ctx);
-  s.bit_identical = same_partitions(seq, par);
-  return s;
-}
-
-/// The two sections the ISSUE's parallel speed gate reads (the other two
-/// are measured and bit-checked but not speed-gated: shuffle_write_range is
-/// dominated by the memoized bucket search and map_side_combine by the
-/// per-bucket table, both of which parallelize but with flatter curves).
-bool speed_gated(const std::string& name) {
-  return name == "shuffle_write_hash" || name == "reduce_merge";
+  return measure(name, data.size(), legacy, batched);
 }
 
 /// Runs every section, prints the table, enforces the contracts:
-///  * allocation: batched and parallel >= 4x fewer allocs than legacy, and
-///    the gated parallel sections <= 2x the batched baseline;
-///  * bit-identity: parallel checksums == sequential batched checksums;
-///  * speed (gated sections, only when the host has the cores): parallel
-///    >= 2.5x batched at >= 4 threads, >= 4x at >= 8.
-bool run_dataplane_sections(const std::string& json_path,
-                            std::size_t threads) {
+///  * allocation: batched >= 4x fewer allocs than legacy on every section;
+///  * speed at scale: batched >= legacy on map_side_combine_large.
+bool run_dataplane_sections(const std::string& json_path) {
   const std::size_t kRecords = 1 << 16;
   const auto data = make_records(kRecords, 1 << 12);
-  if (threads == 0) threads = 1;
-  common::ThreadPool pool(threads);
-  const engine::dataplane::ExecContext ctx{threads > 1 ? &pool : nullptr,
-                                           threads};
 
   // Post-combine shape for reduce_merge: each map task's shuffle row is
   // key-sorted (what combine_scatter emits) and carries high key
@@ -341,55 +252,38 @@ bool run_dataplane_sections(const std::string& json_path,
   }
 
   std::vector<Section> sections;
-  {
-    const engine::HashPartitioner hash(100);
-    sections.push_back(
-        shuffle_write_section(data, hash, "shuffle_write_hash", ctx));
-  }
+  const engine::HashPartitioner hash(100);
+  sections.push_back(shuffle_write_section(data, hash, "shuffle_write_hash"));
   {
     common::Xoshiro256 rng(7);
     std::vector<std::uint64_t> sample(2048);
     for (auto& k : sample) k = rng.next_below(1 << 12);
     const auto range = engine::RangePartitioner::from_sample(100, sample);
     sections.push_back(
-        shuffle_write_section(data, *range, "shuffle_write_range", ctx));
+        shuffle_write_section(data, *range, "shuffle_write_range"));
   }
-  sections.push_back(reduce_merge_section(merge_parts, ctx));
+  sections.push_back(reduce_merge_section(merge_parts));
+  sections.push_back(combine_section(data, hash, "map_side_combine"));
   {
-    const engine::HashPartitioner hash(100);
-    sections.push_back(combine_section(data, hash, ctx));
+    // A large map task folding into few keys: the shape where a combine
+    // that sorts every record loses to plain hash maps.
+    const auto big = make_records(std::size_t{1} << 22, 1 << 12);
+    sections.push_back(combine_section(big, hash, "map_side_combine_large"));
   }
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  bench::Table t({"section", "legacy Mrec/s", "batched Mrec/s", "speedup",
-                  "threads", "parallel Mrec/s", "par/batched",
-                  "legacy allocs/krec", "batched allocs/krec",
-                  "parallel allocs/krec"});
+  bench::Table t({"section", "records", "legacy Mrec/s", "batched Mrec/s",
+                  "speedup", "legacy allocs/krec", "batched allocs/krec"});
   bool ok = true;
   for (const auto& s : sections) {
     const double n = static_cast<double>(s.records);
-    t.add_row({s.name, bench::Table::num(n / s.legacy_s / 1e6),
+    t.add_row({s.name, std::to_string(s.records),
+               bench::Table::num(n / s.legacy_s / 1e6),
                bench::Table::num(n / s.batched_s / 1e6),
-               bench::Table::num(s.speedup()), std::to_string(threads),
-               bench::Table::num(n / s.parallel_s / 1e6),
-               bench::Table::num(s.parallel_speedup()),
+               bench::Table::num(s.speedup()),
                bench::Table::num(s.legacy_allocs_per_krec()),
-               bench::Table::num(s.batched_allocs_per_krec()),
-               bench::Table::num(s.parallel_allocs_per_krec())});
-    // Bit-identity contract: the parallel path must produce checksum-equal
-    // output at any thread count — this is the determinism invariant every
-    // digest/replay/recovery feature rests on.
-    if (!s.bit_identical) {
-      std::fprintf(stderr,
-                   "FAIL: %s parallel output differs from the sequential "
-                   "batched output at %zu threads\n",
-                   s.name.c_str(), threads);
-      ok = false;
-    }
+               bench::Table::num(s.batched_allocs_per_krec())});
     // Allocation contract: the batched path exists to eliminate per-record
-    // heap traffic; demand a >= 4x reduction (in practice it is >100x), and
-    // the same bound for the parallel path (per-thread scratch is reused, so
-    // parallelism must not reintroduce per-record allocation).
+    // heap traffic; demand a >= 4x reduction (in practice it is >100x).
     if (s.batched_allocs * 4 >= s.legacy_allocs) {
       std::fprintf(stderr,
                    "FAIL: %s batched path allocated %zu times vs legacy %zu "
@@ -397,114 +291,17 @@ bool run_dataplane_sections(const std::string& json_path,
                    s.name.c_str(), s.batched_allocs, s.legacy_allocs);
       ok = false;
     }
-    if (s.parallel_allocs * 4 >= s.legacy_allocs) {
+    if (s.name == "map_side_combine_large" && s.speedup() < 1.0) {
       std::fprintf(stderr,
-                   "FAIL: %s parallel path allocated %zu times vs legacy %zu "
-                   "(need >= 4x reduction)\n",
-                   s.name.c_str(), s.parallel_allocs, s.legacy_allocs);
+                   "FAIL: %s batched combine is %.2fx the legacy hash maps "
+                   "(need >= 1x)\n",
+                   s.name.c_str(), s.speedup());
       ok = false;
-    }
-    if (speed_gated(s.name) && threads > 1 &&
-        s.parallel_allocs > 2 * s.batched_allocs) {
-      std::fprintf(stderr,
-                   "FAIL: %s parallel path allocated %zu times vs batched "
-                   "%zu (need <= 2x)\n",
-                   s.name.c_str(), s.parallel_allocs, s.batched_allocs);
-      ok = false;
-    }
-    // Speed gate — hardware-aware: this box must actually have the cores
-    // before a missed multiple means a regression.
-    if (speed_gated(s.name)) {
-      double need = 0.0;
-      if (threads >= 8 && hw >= 8) {
-        need = 4.0;
-      } else if (threads >= 4 && hw >= 4) {
-        need = 2.5;
-      }
-      if (need > 0.0 && s.parallel_speedup() < need) {
-        std::fprintf(stderr,
-                     "FAIL: %s parallel speedup %.2fx at %zu threads "
-                     "(hw=%u) below the %.1fx gate\n",
-                     s.name.c_str(), s.parallel_speedup(), threads, hw, need);
-        ok = false;
-      } else if (need == 0.0) {
-        std::printf("note: %s speed gate skipped (%zu threads, %u hardware "
-                    "cores — gate needs >= 4 of each)\n",
-                    s.name.c_str(), threads, hw);
-      }
     }
   }
   bench::print_header("micro_engine_ops: batched data plane vs legacy");
   t.print();
   if (!json_path.empty()) t.write_json(json_path, "micro_engine_ops");
-
-  // Thread sweep over the gated sections: parallel throughput and
-  // bit-identity at 1, 2, 4 and 8 threads regardless of the --threads value
-  // (identity is checked at every point; speed is informational here — the
-  // gate above reads the --threads arm).
-  bench::Table sweep({"section", "threads", "parallel Mrec/s", "vs batched",
-                      "bit-identical"});
-  std::vector<engine::Partition> seq_buckets(100);
-  const engine::HashPartitioner hash(100);
-  engine::dataplane::radix_scatter(data, hash, seq_buckets);
-  std::vector<engine::Partition> m1 = merge_parts;
-  const auto seq_merge =
-      engine::dataplane::merge_reduce_by_key(std::move(m1), sum_fn);
-  for (const std::size_t tc : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                               std::size_t{8}}) {
-    common::ThreadPool tp(tc);
-    const engine::dataplane::ExecContext tctx{tc > 1 ? &tp : nullptr, tc};
-    {
-      std::vector<engine::Partition> out(100);
-      engine::dataplane::radix_scatter(data, hash, out, tctx);
-      const bool same = same_partitions(seq_buckets, out);
-      const double secs = best_seconds(
-          [&] {
-            std::vector<engine::Partition> b(100);
-            engine::dataplane::radix_scatter(data, hash, b, tctx);
-            benchmark::DoNotOptimize(b.data());
-          },
-          3);
-      sweep.add_row({"shuffle_write_hash", std::to_string(tc),
-                     bench::Table::num(kRecords / secs / 1e6),
-                     bench::Table::num(sections[0].batched_s / secs),
-                     same ? "yes" : "NO"});
-      if (!same) {
-        std::fprintf(stderr,
-                     "FAIL: shuffle_write_hash not bit-identical at %zu "
-                     "threads\n",
-                     tc);
-        ok = false;
-      }
-    }
-    {
-      std::vector<engine::Partition> m2 = merge_parts;
-      const auto out =
-          engine::dataplane::merge_reduce_by_key(std::move(m2), sum_fn, tctx);
-      const bool same = seq_merge.checksum() == out.checksum();
-      const double secs = best_seconds(
-          [&] {
-            std::vector<engine::Partition> c = merge_parts;
-            const auto o = engine::dataplane::merge_reduce_by_key(
-                std::move(c), sum_fn, tctx);
-            benchmark::DoNotOptimize(o.size());
-          },
-          3);
-      const double recs = static_cast<double>(sections[2].records);
-      sweep.add_row({"reduce_merge", std::to_string(tc),
-                     bench::Table::num(recs / secs / 1e6),
-                     bench::Table::num(sections[2].batched_s / secs),
-                     same ? "yes" : "NO"});
-      if (!same) {
-        std::fprintf(stderr,
-                     "FAIL: reduce_merge not bit-identical at %zu threads\n",
-                     tc);
-        ok = false;
-      }
-    }
-  }
-  bench::print_header("micro_engine_ops: parallel thread sweep");
-  sweep.print();
   return ok;
 }
 
@@ -738,11 +535,10 @@ int main(int argc, char** argv) {
   }
 
   // Data-plane sections always run — they carry the allocation regression
-  // gate, the parallel speed gate and the bit-identity checks. With --json
-  // the binary is in CI artifact mode and stops here.
+  // gate and the large-input combine speed gate. With --json the binary is
+  // in CI artifact mode and stops here.
   const std::string json_path = bench::json_flag(argc, argv);
-  const std::size_t threads = bench::size_flag(argc, argv, "--threads", 4);
-  if (!run_dataplane_sections(json_path, threads)) return 1;
+  if (!run_dataplane_sections(json_path)) return 1;
   if (!run_checkpoint_idle_section()) return 1;
   if (!json_path.empty()) return 0;
 

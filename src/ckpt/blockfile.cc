@@ -65,14 +65,19 @@ struct Cursor {
     take(&v, 8);
     return v;
   }
+  /// Whether `count` items of at least `min_bytes` each still fit in the
+  /// unread payload; fails the cursor otherwise. Every allocation sized by
+  /// a decoded count goes through this, so a hostile count is rejected
+  /// instead of throwing bad_alloc.
+  bool fits(std::uint64_t count, std::uint64_t min_bytes) {
+    if (ok && count > (data.size() - pos) / min_bytes) ok = false;
+    return ok;
+  }
   template <typename T>
   std::vector<T> pod_vec() {
     const std::uint64_t n = u64();
     std::vector<T> v;
-    if (!ok || n > (data.size() - pos) / sizeof(T)) {
-      ok = false;
-      return v;
-    }
+    if (!fits(n, sizeof(T))) return v;
     v.resize(static_cast<std::size_t>(n));
     if (n > 0) take(v.data(), static_cast<std::size_t>(n) * sizeof(T));
     return v;
@@ -126,6 +131,9 @@ void put_partition(std::string& out, const engine::Partition& p) {
   put_pod_vec(out, p.raw_ends());
   put_pod_vec(out, p.raw_values());
 }
+
+/// Smallest encoded partition: the byte count plus four empty vectors.
+constexpr std::uint64_t kMinPartitionBytes = 5 * 8;
 
 engine::Partition take_partition(Cursor& c) {
   const std::uint64_t bytes = c.u64();
@@ -266,7 +274,8 @@ std::optional<engine::RestoredShuffle> read_shuffle_block(
   rs.so.row_sum = c.pod_vec<std::uint64_t>();
   const std::uint64_t m = c.u64();
   const std::uint64_t r = c.u64();
-  if (!c.ok || m != rs.so.num_map_tasks || m != rs.so.map_node.size()) {
+  if (!c.ok || m != rs.so.num_map_tasks || m != rs.so.map_node.size() ||
+      (m > 0 && !c.fits(r, kMinPartitionBytes * m))) {
     return std::nullopt;
   }
   rs.so.buckets.resize(static_cast<std::size_t>(m));
@@ -331,7 +340,7 @@ std::optional<std::vector<engine::Partition>> read_result_block(
   Cursor c{*payload};
   const std::uint64_t n = c.u64();
   std::vector<engine::Partition> parts;
-  if (!c.ok) return std::nullopt;
+  if (!c.fits(n, kMinPartitionBytes)) return std::nullopt;
   parts.resize(static_cast<std::size_t>(n));
   for (auto& part : parts) part = take_partition(c);
   if (!c.ok || c.pos != payload->size()) return std::nullopt;

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
-#include <functional>
-#include <numeric>
 #include <utility>
 
-#include "common/thread_pool.h"
-#include "engine/combine_table.h"
+#include "common/hash.h"
 
 namespace chopper::engine::dataplane {
 
@@ -74,42 +70,21 @@ bool keys_sorted(const Partition& p) {
   return true;
 }
 
-/// Shard count for `n` records under `ctx`: the context's thread count,
-/// capped so every shard sees a meaningful chunk. 1 means "run inline".
-std::size_t shards_for(const ExecContext& ctx, std::size_t n) {
-  if (!ctx.parallel(n)) return 1;
-  const std::size_t cap = std::max<std::size_t>(1, n / (kParallelGrain / 4));
-  return std::min(ctx.threads, cap);
-}
-
-/// Run body(0..count-1): inline when count == 1 or no pool, fanned out on
-/// the context's data-plane pool otherwise. The inline path is the T == 1
-/// sequential path — same code, no pool in sight.
-void run_shards(const ExecContext& ctx, std::size_t count,
-                const std::function<void(std::size_t)>& body) {
-  if (count <= 1 || ctx.pool == nullptr) {
-    for (std::size_t t = 0; t < count; ++t) body(t);
-  } else {
-    common::parallel_for(*ctx.pool, count, body);
-  }
-}
-
-/// K-way merge-reduce over key-sorted cursor ranges, one per part (cur[p]
-/// up to end[p]). Equivalent to stable-sorting the concatenation of those
-/// ranges and run-scanning it: equal keys are consumed in part order,
-/// encounter order within a part. Every read advances sequentially through
-/// its run — no hash table, no global sort, no gather.
-void kway_reduce_span(std::vector<Partition>& parts, std::vector<std::size_t> cur,
-                      const std::vector<std::size_t>& end, const ReduceFn& fn,
-                      Partition& out) {
+/// K-way merge-reduce over key-sorted parts. Equivalent to stable-sorting
+/// the parts' concatenation and run-scanning it: equal keys are consumed in
+/// part order, encounter order within a part. Every read advances
+/// sequentially through its run — no hash table, no global sort, no gather.
+Partition kway_reduce(std::vector<Partition>& parts, const ReduceFn& fn) {
   const std::size_t k_runs = parts.size();
+  std::vector<std::size_t> cur(k_runs, 0);
+  Partition out;
   Record acc;
   Record next;
   while (true) {
     bool any = false;
     std::uint64_t k = 0;
     for (std::size_t p = 0; p < k_runs; ++p) {
-      if (cur[p] < end[p] && (!any || parts[p].key(cur[p]) < k)) {
+      if (cur[p] < parts[p].size() && (!any || parts[p].key(cur[p]) < k)) {
         k = parts[p].key(cur[p]);
         any = true;
       }
@@ -117,7 +92,7 @@ void kway_reduce_span(std::vector<Partition>& parts, std::vector<std::size_t> cu
     if (!any) break;
     bool first = true;
     for (std::size_t p = 0; p < k_runs; ++p) {
-      while (cur[p] < end[p] && parts[p].key(cur[p]) == k) {
+      while (cur[p] < parts[p].size() && parts[p].key(cur[p]) == k) {
         if (first) {
           parts[p].materialize_into(cur[p], acc);
           first = false;
@@ -130,62 +105,57 @@ void kway_reduce_span(std::vector<Partition>& parts, std::vector<std::size_t> cu
     }
     out.push(acc);
   }
-}
-
-/// Same k-way consume order, but over per-part *sorted index* arrays
-/// (ksv[p] is parts[p]'s stable-sorted (key, index) view). Consuming equal
-/// keys in part order with per-part ascending indices reproduces exactly
-/// the global stable sort of the parts' concatenation — the unsorted
-/// fallback's semantics, range by range.
-void kway_reduce_idx(std::vector<Partition>& parts,
-                     const std::vector<std::vector<KeyIdx>>& ksv,
-                     std::vector<std::size_t> cur,
-                     const std::vector<std::size_t>& end, const ReduceFn& fn,
-                     Partition& out) {
-  const std::size_t k_runs = parts.size();
-  Record acc;
-  Record next;
-  while (true) {
-    bool any = false;
-    std::uint64_t k = 0;
-    for (std::size_t p = 0; p < k_runs; ++p) {
-      if (cur[p] < end[p] && (!any || ksv[p][cur[p]].first < k)) {
-        k = ksv[p][cur[p]].first;
-        any = true;
-      }
-    }
-    if (!any) break;
-    bool first = true;
-    for (std::size_t p = 0; p < k_runs; ++p) {
-      while (cur[p] < end[p] && ksv[p][cur[p]].first == k) {
-        if (first) {
-          parts[p].materialize_into(ksv[p][cur[p]].second, acc);
-          first = false;
-        } else {
-          parts[p].materialize_into(ksv[p][cur[p]].second, next);
-          fn(acc, next);
-        }
-        ++cur[p];
-      }
-    }
-    out.push(acc);
-  }
+  return out;
 }
 
 // -- map-side combine core ---------------------------------------------------
 
-/// Per-thread combine scratch. Sequential callers (engine task threads) and
-/// data-plane pool workers each get their own, so combine_bucket is
-/// re-entrant without locks; every vector/Record/table settles to its
-/// high-water capacity, so steady-state combine does no allocation.
+/// Per-thread combine scratch. Each engine task thread gets its own, so
+/// combine_scatter is re-entrant without locks; every vector/Record settles
+/// to its high-water capacity, so steady-state combine does no allocation.
 struct CombineScratch {
-  CombineTable table;
-  std::vector<Record> accs;       ///< gid -> accumulator
-  std::vector<KeyIdx> entries;    ///< (key, gid) table emission view
-  std::vector<KeyIdx> ovf;        ///< spilled (key, index) encounters
+  /// Open-addressing key -> gid table, linear probing. `gid1` is gid + 1;
+  /// 0 marks an empty slot. Only the first `capacity` slots are active.
+  struct Slot {
+    std::uint64_t key;
+    std::uint32_t gid1;
+  };
+  std::vector<Slot> slots;
+  std::size_t capacity = 0;
+  std::vector<std::uint64_t> gid_keys;  ///< gid -> key (first-encounter order)
+  std::vector<Record> accs;             ///< gid -> accumulator
+  std::vector<std::uint32_t> bucket_of;  ///< gid -> destination bucket
+  std::vector<KeyIdx> order;             ///< (key, gid), sorted for emission
   std::vector<KeyIdx> sort_scratch;
+  std::vector<std::size_t> recs;  ///< per-bucket record / payload counts
+  std::vector<std::size_t> vals;
   Record next;
-  Record oacc;
+
+  /// Activate (and clear) the first `cap` slots, growing storage if needed.
+  void reset_slots(std::size_t cap) {
+    capacity = cap;
+    if (slots.size() < cap) slots.resize(cap);
+    std::fill_n(slots.begin(), cap, Slot{0, 0});
+  }
+
+  /// The slot holding `key`, or the empty slot where it belongs. Load stays
+  /// at most 1/2, so the probe always reaches one or the other.
+  Slot& probe(std::uint64_t key) {
+    const std::size_t mask = capacity - 1;
+    std::size_t idx = static_cast<std::size_t>(common::mix64(key)) & mask;
+    while (slots[idx].gid1 != 0 && slots[idx].key != key) {
+      idx = (idx + 1) & mask;
+    }
+    return slots[idx];
+  }
+
+  /// Double the active table and re-insert every gid claimed so far.
+  void grow() {
+    reset_slots(2 * capacity);
+    for (std::uint32_t g = 0; g < gid_keys.size(); ++g) {
+      probe(gid_keys[g]) = Slot{gid_keys[g], g + 1};
+    }
+  }
 };
 
 CombineScratch& combine_scratch() {
@@ -193,267 +163,93 @@ CombineScratch& combine_scratch() {
   return s;
 }
 
-/// Combine one bucket's (key, index) run — `run[i].second` indexes `in`,
-/// run order is the bucket's global encounter order — appending one record
-/// per distinct key to `out` in ascending key order.
-///
-/// Keys live in exactly one of two structures: the fixed-size CombineTable
-/// (first kMaxLoad fraction of distinct keys) or the overflow run (every
-/// encounter of a key the full table refused, in encounter order — see
-/// combine_table.h). Table keys accumulate in encounter order via their
-/// gid; overflow keys fold after a stable radix sort, which also preserves
-/// encounter order. Both therefore apply `fn` in exactly the sequence the
-/// sequential map implementation did, and the final two-pointer merge
-/// (the two key sets are disjoint) emits ascending by key — bit-identical
-/// output no matter how many keys spilled.
-void combine_bucket(const Partition& in, const ReduceFn& fn,
-                    const KeyIdx* run, std::size_t len, Partition& out) {
-  CombineScratch& s = combine_scratch();
-  s.table.reset(len);
-  s.entries.clear();
-  s.ovf.clear();
-
-  std::uint32_t next_gid = 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    const std::uint32_t gid = s.table.find_or_claim(run[i].first, next_gid);
-    if (gid == CombineTable::kSpill) {
-      s.ovf.push_back(run[i]);
-    } else if (gid == next_gid) {  // claimed: first encounter of this key
-      if (s.accs.size() <= gid) s.accs.emplace_back();
-      in.materialize_into(run[i].second, s.accs[gid]);
-      ++next_gid;
-    } else {
-      in.materialize_into(run[i].second, s.next);
-      fn(s.accs[gid], s.next);
-    }
-  }
-
-  s.table.for_each([&s](std::uint64_t key, std::uint32_t gid) {
-    s.entries.push_back({key, gid});
-  });
-  radix_sort_keys(s.entries.data(), s.entries.size(), s.sort_scratch);
-  radix_sort_keys(s.ovf.data(), s.ovf.size(), s.sort_scratch);
-
-  std::size_t distinct = s.entries.size();
-  for (std::size_t i = 0; i < s.ovf.size(); ++i) {
-    if (i == 0 || s.ovf[i].first != s.ovf[i - 1].first) ++distinct;
-  }
-  out.reserve(out.size() + distinct);
-
-  std::size_t e = 0;
-  std::size_t o = 0;
-  while (e < s.entries.size() || o < s.ovf.size()) {
-    if (o >= s.ovf.size() ||
-        (e < s.entries.size() && s.entries[e].first < s.ovf[o].first)) {
-      out.push(s.accs[s.entries[e].second]);
-      ++e;
-    } else {
-      const std::uint64_t k = s.ovf[o].first;
-      in.materialize_into(s.ovf[o].second, s.oacc);
-      ++o;
-      while (o < s.ovf.size() && s.ovf[o].first == k) {
-        in.materialize_into(s.ovf[o].second, s.next);
-        fn(s.oacc, s.next);
-        ++o;
-      }
-      out.push(s.oacc);
-    }
-  }
-}
-
 }  // namespace
 
 void radix_scatter(const Partition& in, const Partitioner& part,
                    std::span<Partition> buckets) {
-  radix_scatter(in, part, buckets, ExecContext{});
-}
-
-void radix_scatter(const Partition& in, const Partitioner& part,
-                   std::span<Partition> buckets, const ExecContext& ctx) {
   const std::size_t n = in.size();
   if (n == 0) return;
   const std::size_t num_buckets = buckets.size();
-  const std::size_t t_count = shards_for(ctx, n);
   const auto& keys = in.raw_keys();
   const auto& auxs = in.raw_aux();
   const auto& ends = in.raw_ends();
 
-  if (t_count <= 1) {
-    // Sequential path: bucket each record once (one batched virtual call),
-    // histogram record/payload counts, reserve each destination exactly,
-    // then scatter into exactly-sized arenas.
-    std::vector<std::uint32_t> bucket_of(n);
-    part.partition_of_batch(keys.data(), n, bucket_of.data());
-    std::vector<std::size_t> recs(num_buckets, 0);
-    std::vector<std::size_t> vals(num_buckets, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      ++recs[bucket_of[i]];
-      vals[bucket_of[i]] += ends[i] - (i == 0 ? 0 : ends[i - 1]);
-    }
-    for (std::size_t r = 0; r < num_buckets; ++r) {
-      if (recs[r] == 0) continue;
-      buckets[r].reserve(buckets[r].size() + recs[r]);
-      buckets[r].reserve_values(buckets[r].values_size() + vals[r]);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::span<const double> v = in.values(i);
-      buckets[bucket_of[i]].emplace(keys[i], v.data(), v.size(), auxs[i]);
-    }
-    return;
-  }
-
-  // Sharded scatter (DESIGN.md §18.1). The input splits into t_count
-  // contiguous chunks; per-(shard, bucket) histograms turn into exact slot
-  // offsets into each destination arena, the arenas grow once, and shards
-  // then write disjoint slot ranges concurrently — no locks, no record
-  // copies beyond the single scatter write, no intermediate arenas. Shard
-  // s's slots precede shard s+1's within every bucket, so per-bucket order
-  // is the input's encounter order: bit-identical to the sequential path.
-  const auto chunk_at = [n, t_count](std::size_t t) {
-    return n * t / t_count;
-  };
-
-  // Pass 1 (parallel): bucket assignment + per-(shard, bucket) histograms.
+  // Bucket each record once (one batched virtual call), histogram
+  // record/payload counts, reserve each destination exactly, then scatter
+  // into exactly-sized arenas.
   std::vector<std::uint32_t> bucket_of(n);
-  std::vector<std::size_t> srecs(t_count * num_buckets, 0);
-  std::vector<std::size_t> svals(t_count * num_buckets, 0);
-  std::vector<std::uint64_t> sbytes(t_count * num_buckets, 0);
-  run_shards(ctx, t_count, [&](std::size_t t) {
-    const std::size_t lo = chunk_at(t);
-    const std::size_t hi = chunk_at(t + 1);
-    part.partition_of_batch(keys.data() + lo, hi - lo, bucket_of.data() + lo);
-    std::size_t* rr = srecs.data() + t * num_buckets;
-    std::size_t* vv = svals.data() + t * num_buckets;
-    std::uint64_t* bb = sbytes.data() + t * num_buckets;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::uint32_t b = bucket_of[i];
-      const std::size_t len = ends[i] - (i == 0 ? 0 : ends[i - 1]);
-      ++rr[b];
-      vv[b] += len;
-      bb[b] += record_bytes(len, auxs[i]);
-    }
-  });
-
-  // Layout (serial, O(t_count * buckets)): prefix-sum the histograms into
-  // absolute per-(shard, bucket) start offsets and grow each arena once.
-  std::vector<std::size_t> rec_off(t_count * num_buckets);
-  std::vector<std::size_t> val_off(t_count * num_buckets);
-  for (std::size_t r = 0; r < num_buckets; ++r) {
-    std::size_t rec = buckets[r].size();
-    std::size_t val = buckets[r].values_size();
-    const std::size_t rec0 = rec;
-    const std::size_t val0 = val;
-    std::uint64_t bsum = 0;
-    for (std::size_t t = 0; t < t_count; ++t) {
-      rec_off[t * num_buckets + r] = rec;
-      val_off[t * num_buckets + r] = val;
-      rec += srecs[t * num_buckets + r];
-      val += svals[t * num_buckets + r];
-      bsum += sbytes[t * num_buckets + r];
-    }
-    if (rec != rec0) {
-      buckets[r].grow_for_scatter(rec - rec0, val - val0, bsum);
-    }
+  part.partition_of_batch(keys.data(), n, bucket_of.data());
+  std::vector<std::size_t> recs(num_buckets, 0);
+  std::vector<std::size_t> vals(num_buckets, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    ++recs[bucket_of[i]];
+    vals[bucket_of[i]] += ends[i] - (i == 0 ? 0 : ends[i - 1]);
   }
-  std::vector<std::uint64_t*> kp(num_buckets);
-  std::vector<std::uint32_t*> ap(num_buckets);
-  std::vector<std::size_t*> ep(num_buckets);
-  std::vector<double*> vp(num_buckets);
   for (std::size_t r = 0; r < num_buckets; ++r) {
-    kp[r] = buckets[r].mutable_keys();
-    ap[r] = buckets[r].mutable_aux();
-    ep[r] = buckets[r].mutable_ends();
-    vp[r] = buckets[r].mutable_values();
+    if (recs[r] == 0) continue;
+    buckets[r].reserve(buckets[r].size() + recs[r]);
+    buckets[r].reserve_values(buckets[r].values_size() + vals[r]);
   }
-
-  // Pass 2 (parallel): scatter. Each shard consumes its own offset row as
-  // write cursors; rows are disjoint by construction, so there is no shared
-  // mutable state between shards.
-  const double* vin = in.raw_values().data();
-  run_shards(ctx, t_count, [&](std::size_t t) {
-    std::size_t* rcur = rec_off.data() + t * num_buckets;
-    std::size_t* vcur = val_off.data() + t * num_buckets;
-    const std::size_t hi = chunk_at(t + 1);
-    for (std::size_t i = chunk_at(t); i < hi; ++i) {
-      const std::uint32_t b = bucket_of[i];
-      const std::size_t vbegin = i == 0 ? 0 : ends[i - 1];
-      const std::size_t len = ends[i] - vbegin;
-      const std::size_t pos = rcur[b]++;
-      kp[b][pos] = keys[i];
-      ap[b][pos] = auxs[i];
-      std::copy_n(vin + vbegin, len, vp[b] + vcur[b]);
-      vcur[b] += len;
-      ep[b][pos] = vcur[b];
-    }
-  });
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const double> v = in.values(i);
+    buckets[bucket_of[i]].emplace(keys[i], v.data(), v.size(), auxs[i]);
+  }
 }
 
 void combine_scatter(const Partition& in, const Partitioner& part,
                      const ReduceFn& fn, std::span<Partition> buckets) {
-  combine_scatter(in, part, fn, buckets, ExecContext{});
-}
-
-void combine_scatter(const Partition& in, const Partitioner& part,
-                     const ReduceFn& fn, std::span<Partition> buckets,
-                     const ExecContext& ctx) {
   const std::size_t n = in.size();
   if (n == 0) return;
-  const std::size_t num_buckets = buckets.size();
-  const std::size_t t_count = shards_for(ctx, n);
+  CombineScratch& s = combine_scratch();
+  s.reset_slots(64);
+  s.gid_keys.clear();
+
+  // One pass in encounter order: the first encounter of a key claims the
+  // next gid and initializes its accumulator; later encounters fold into it
+  // with `fn`. The table doubles (rehashing the gids so far) before it
+  // passes half load, so probes stay short and always reach an empty slot.
   const auto& keys = in.raw_keys();
-  const auto chunk_at = [n, t_count](std::size_t t) {
-    return n * t / t_count;
-  };
-
-  // Pass 1: bucket assignment + per-(shard, bucket) counts.
-  std::vector<std::uint32_t> bucket_of(n);
-  std::vector<std::size_t> scounts(t_count * num_buckets, 0);
-  run_shards(ctx, t_count, [&](std::size_t t) {
-    const std::size_t lo = chunk_at(t);
-    const std::size_t hi = chunk_at(t + 1);
-    part.partition_of_batch(keys.data() + lo, hi - lo, bucket_of.data() + lo);
-    std::size_t* c = scounts.data() + t * num_buckets;
-    for (std::size_t i = lo; i < hi; ++i) ++c[bucket_of[i]];
-  });
-
-  // Bucket-major layout: offs[r] bounds bucket r's run in ks; each shard
-  // gets its own write cursor inside the run (shard order == input order,
-  // so the run is the bucket's global encounter order).
-  std::vector<std::size_t> offs(num_buckets + 1, 0);
-  std::vector<std::size_t> cur(t_count * num_buckets);
-  {
-    std::size_t sum = 0;
-    for (std::size_t r = 0; r < num_buckets; ++r) {
-      offs[r] = sum;
-      for (std::size_t t = 0; t < t_count; ++t) {
-        cur[t * num_buckets + r] = sum;
-        sum += scounts[t * num_buckets + r];
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    CombineScratch::Slot& slot = s.probe(keys[i]);
+    if (slot.gid1 != 0) {
+      in.materialize_into(i, s.next);
+      fn(s.accs[slot.gid1 - 1], s.next);
+      continue;
     }
-    offs[num_buckets] = sum;
+    const auto gid = static_cast<std::uint32_t>(s.gid_keys.size());
+    slot = CombineScratch::Slot{keys[i], gid + 1};
+    s.gid_keys.push_back(keys[i]);
+    if (s.accs.size() <= gid) s.accs.emplace_back();
+    in.materialize_into(i, s.accs[gid]);
+    if (2 * s.gid_keys.size() > s.capacity) s.grow();
   }
 
-  // Pass 2: stable counting sort into bucket-major (key, index) runs.
-  std::vector<KeyIdx> ks(n);
-  run_shards(ctx, t_count, [&](std::size_t t) {
-    std::size_t* c = cur.data() + t * num_buckets;
-    const std::size_t hi = chunk_at(t + 1);
-    for (std::size_t i = chunk_at(t); i < hi; ++i) {
-      ks[c[bucket_of[i]]++] = {keys[i], i};
-    }
-  });
+  // Bucket the distinct keys once, sort them once, and append each
+  // bucket's records in ascending key order into exactly-reserved
+  // destinations (a stable walk of the globally sorted keys keeps every
+  // bucket's run ascending).
+  const std::size_t distinct = s.gid_keys.size();
+  const std::size_t num_buckets = buckets.size();
+  s.bucket_of.resize(distinct);
+  part.partition_of_batch(s.gid_keys.data(), distinct, s.bucket_of.data());
+  s.order.resize(distinct);
+  for (std::uint32_t g = 0; g < distinct; ++g) s.order[g] = {s.gid_keys[g], g};
+  radix_sort_keys(s.order.data(), distinct, s.sort_scratch);
 
-  // Pass 3: combine each bucket's run independently (buckets are disjoint
-  // outputs — shard by contiguous bucket group, no locks).
-  run_shards(ctx, t_count, [&](std::size_t g) {
-    const std::size_t r_lo = num_buckets * g / t_count;
-    const std::size_t r_hi = num_buckets * (g + 1) / t_count;
-    for (std::size_t r = r_lo; r < r_hi; ++r) {
-      const std::size_t len = offs[r + 1] - offs[r];
-      if (len == 0) continue;
-      combine_bucket(in, fn, ks.data() + offs[r], len, buckets[r]);
-    }
-  });
+  s.recs.assign(num_buckets, 0);
+  s.vals.assign(num_buckets, 0);
+  for (std::size_t g = 0; g < distinct; ++g) {
+    ++s.recs[s.bucket_of[g]];
+    s.vals[s.bucket_of[g]] += s.accs[g].values.size();
+  }
+  for (std::size_t r = 0; r < num_buckets; ++r) {
+    if (s.recs[r] == 0) continue;
+    buckets[r].reserve(buckets[r].size() + s.recs[r]);
+    buckets[r].reserve_values(buckets[r].values_size() + s.vals[r]);
+  }
+  for (const KeyIdx& e : s.order) {
+    buckets[s.bucket_of[e.second]].push(s.accs[e.second]);
+  }
 }
 
 Partition merge_concat(std::vector<Partition>&& parts) {
@@ -478,152 +274,41 @@ Partition merge_sorted(std::vector<Partition>&& parts) {
 
 Partition merge_reduce_by_key(std::vector<Partition>&& parts,
                               const ReduceFn& fn) {
-  return merge_reduce_by_key(std::move(parts), fn, ExecContext{});
-}
-
-Partition merge_reduce_by_key(std::vector<Partition>&& parts,
-                              const ReduceFn& fn, const ExecContext& ctx) {
-  const std::size_t p_count = parts.size();
   std::size_t total = 0;
   for (const auto& p : parts) total += p.size();
   if (total == 0) return {};
 
   // Combined shuffle rows arrive key-sorted (combine_scatter emits runs in
   // ascending key order), so the common case merges sorted runs directly.
-  const bool sorted =
-      std::all_of(parts.begin(), parts.end(), keys_sorted);
-  const std::size_t t_count = shards_for(ctx, total);
+  if (std::all_of(parts.begin(), parts.end(), keys_sorted)) {
+    return kway_reduce(parts, fn);
+  }
+  Partition all = merge_concat(std::move(parts));
+  const std::size_t n = all.size();
+  const auto ks = sorted_keys(all);
 
-  if (t_count <= 1) {
-    if (sorted) {
-      std::vector<std::size_t> cur(p_count, 0);
-      std::vector<std::size_t> end(p_count);
-      for (std::size_t p = 0; p < p_count; ++p) end[p] = parts[p].size();
-      Partition out;
-      kway_reduce_span(parts, std::move(cur), end, fn, out);
-      return out;
-    }
-    Partition all = merge_concat(std::move(parts));
-    const std::size_t n = all.size();
-    const auto ks = sorted_keys(all);
+  std::size_t distinct = 1;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (ks[i].first != ks[i - 1].first) ++distinct;
+  }
+  Partition out;
+  out.reserve(distinct);
 
-    std::size_t distinct = 1;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (ks[i].first != ks[i - 1].first) ++distinct;
-    }
-    Partition out;
-    out.reserve(distinct);
-
-    Record acc;
-    Record next;
-    std::size_t i = 0;
-    while (i < n) {
-      const std::uint64_t k = ks[i].first;
-      all.materialize_into(ks[i].second, acc);
+  Record acc;
+  Record next;
+  std::size_t i = 0;
+  while (i < n) {
+    const std::uint64_t k = ks[i].first;
+    all.materialize_into(ks[i].second, acc);
+    ++i;
+    while (i < n && ks[i].first == k) {
+      all.materialize_into(ks[i].second, next);
+      fn(acc, next);
       ++i;
-      while (i < n && ks[i].first == k) {
-        all.materialize_into(ks[i].second, next);
-        fn(acc, next);
-        ++i;
-      }
-      out.push(acc);
     }
-    return out;
+    out.push(acc);
   }
-
-  // Range-split parallel merge (DESIGN.md §18.3): pick t_count-1 splitter
-  // keys from per-part quantile samples, cut every part at each splitter
-  // with lower_bound (all copies of a key land in exactly one range), merge
-  // each key range independently, and concatenate range outputs in order.
-  // Ranges partition the key space, so the output — keys ascending, fn
-  // applied in global encounter order per key — does not depend on the
-  // splitters at all: bit-identical to the sequential merge.
-  std::vector<std::vector<KeyIdx>> ksv;
-  if (!sorted) {
-    // Unsorted inputs: per-part stable sorted index views (built in
-    // parallel). K-way consuming them in part order reproduces exactly the
-    // global stable sort the sequential fallback does.
-    ksv.resize(p_count);
-    run_shards(ctx, p_count, [&](std::size_t p) {
-      ksv[p] = sorted_keys(parts[p]);
-    });
-  }
-  const auto key_at = [&](std::size_t p, std::size_t i) {
-    return sorted ? parts[p].key(i) : ksv[p][i].first;
-  };
-
-  std::vector<std::uint64_t> cand;
-  constexpr std::size_t kSamplesPerPart = 16;
-  for (std::size_t p = 0; p < p_count; ++p) {
-    const std::size_t sz = parts[p].size();
-    if (sz == 0) continue;
-    for (std::size_t j = 1; j <= kSamplesPerPart; ++j) {
-      cand.push_back(key_at(p, (j * sz) / (kSamplesPerPart + 1)));
-    }
-  }
-  std::sort(cand.begin(), cand.end());
-  std::vector<std::uint64_t> splitters(t_count - 1);
-  for (std::size_t j = 0; j + 1 < t_count; ++j) {
-    splitters[j] = cand[(j + 1) * cand.size() / t_count];
-  }
-
-  // Boundary matrix: bnd[j][p] = first index of part p in range j.
-  std::vector<std::vector<std::size_t>> bnd(t_count + 1,
-                                            std::vector<std::size_t>(p_count));
-  for (std::size_t p = 0; p < p_count; ++p) {
-    bnd[0][p] = 0;
-    bnd[t_count][p] = parts[p].size();
-  }
-  for (std::size_t j = 0; j + 1 < t_count; ++j) {
-    for (std::size_t p = 0; p < p_count; ++p) {
-      if (sorted) {
-        const auto& raw = parts[p].raw_keys();
-        bnd[j + 1][p] = static_cast<std::size_t>(
-            std::lower_bound(raw.begin(), raw.end(), splitters[j]) -
-            raw.begin());
-      } else {
-        const auto& ks = ksv[p];
-        bnd[j + 1][p] = static_cast<std::size_t>(
-            std::lower_bound(ks.begin(), ks.end(), splitters[j],
-                             [](const KeyIdx& a, std::uint64_t k) {
-                               return a.first < k;
-                             }) -
-            ks.begin());
-      }
-    }
-  }
-
-  std::vector<Partition> outs(t_count);
-  run_shards(ctx, t_count, [&](std::size_t j) {
-    // Upper-bound reserve (every input record of the range, as if all keys
-    // were distinct) so per-range outputs never grow geometrically — keeps
-    // parallel allocations within the batched baseline's envelope.
-    std::size_t recs_upper = 0;
-    std::size_t vals_upper = 0;
-    for (std::size_t p = 0; p < p_count; ++p) {
-      const std::size_t lo = bnd[j][p];
-      const std::size_t hi = bnd[j + 1][p];
-      recs_upper += hi - lo;
-      const auto& pends = parts[p].raw_ends();
-      if (sorted) {
-        vals_upper += (hi == 0 ? 0 : pends[hi - 1]) -
-                      (lo == 0 ? 0 : pends[lo - 1]);
-      } else {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::size_t idx = ksv[p][i].second;
-          vals_upper += pends[idx] - (idx == 0 ? 0 : pends[idx - 1]);
-        }
-      }
-    }
-    outs[j].reserve(recs_upper);
-    outs[j].reserve_values(vals_upper);
-    if (sorted) {
-      kway_reduce_span(parts, bnd[j], bnd[j + 1], fn, outs[j]);
-    } else {
-      kway_reduce_idx(parts, ksv, bnd[j], bnd[j + 1], fn, outs[j]);
-    }
-  });
-  return merge_concat(std::move(outs));
+  return out;
 }
 
 Partition merge_group_by_key(std::vector<Partition>&& parts) {

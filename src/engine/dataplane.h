@@ -1,23 +1,16 @@
 // The engine's batched data plane (DESIGN.md §13): single-pass radix
 // shuffle scatter, map-side combine, and the reduce-side wide merges.
 //
-// Everything here operates on the SoA Partition arena and is written to be
-// bit-identical with the historical per-record implementations:
+// Everything here operates on the SoA Partition arena, runs sequentially on
+// the calling task's thread (the engine's parallelism is one task per
+// partition, DESIGN.md §18), and is bit-identical with the historical
+// per-record implementations:
 //  * scatter preserves per-bucket encounter order;
 //  * combine/reduce initialize each key's accumulator from its first
-//    encounter and apply the reduce fn in encounter order (stable index
-//    sorts preserve it), then emit in ascending key order — exactly the
-//    sequence the old hash-map + sorted-keys code produced;
+//    encounter and apply the reduce fn in encounter order, then emit in
+//    ascending key order — exactly the sequence the old hash-map +
+//    sorted-keys code produced;
 //  * merges emit the same deterministic key order std::map iteration gave.
-//
-// Every primitive also has a parallel form (DESIGN.md §18) taking an
-// ExecContext: scatter shards the input across worker threads writing
-// disjoint slot ranges of pre-sized destination arenas, combine runs one
-// lock-free CombineTable per bucket, and the reduce merge splits the key
-// space into disjoint ranges. Per-thread partials are always merged in
-// canonical (shard-id, arrival-order) order, so output is bit-identical to
-// the sequential path at any thread count — digests, replay, lineage
-// recovery and checkpoint/resume cannot tell the difference.
 #pragma once
 
 #include <cstdint>
@@ -28,54 +21,12 @@
 #include "engine/partition.h"
 #include "engine/partitioner.h"
 
-namespace chopper::common {
-class ThreadPool;
-}
-
 namespace chopper::engine::dataplane {
 
-/// Inputs smaller than this run inline even when a pool is available — the
-/// fan-out/join overhead beats any speedup on tiny partitions.
+/// Task size (input records) that perfbench's partition-size report flags:
+/// the size at which a single task's data-plane work starts to dominate its
+/// fixed per-task costs.
 inline constexpr std::size_t kParallelGrain = 4096;
-
-/// Execution context for the data-plane primitives. Default-constructed
-/// (or threads == 1) means "run inline on the calling thread" — the exact
-/// PR-5 sequential code path. The pool must be dedicated to the data plane
-/// (the engine uses a separate pool from its task executor so a task
-/// blocking in parallel_for can never deadlock against its own pool).
-struct ExecContext {
-  common::ThreadPool* pool = nullptr;
-  std::size_t threads = 1;
-
-  /// True when `n` records are worth fanning out.
-  bool parallel(std::size_t n) const noexcept {
-    return pool != nullptr && threads > 1 && n >= kParallelGrain;
-  }
-};
-
-/// Memoizes Partitioner::partition_of across runs of equal keys — a single
-/// branch replaces the range partitioner's binary search (and the hash mix)
-/// whenever consecutive records share a key, which sorted/grouped map
-/// outputs do constantly.
-class BucketMemo {
- public:
-  explicit BucketMemo(const Partitioner& part) noexcept : part_(part) {}
-
-  std::size_t bucket_of(std::uint64_t key) {
-    if (!valid_ || key != last_key_) {
-      last_key_ = key;
-      last_bucket_ = part_.partition_of(key);
-      valid_ = true;
-    }
-    return last_bucket_;
-  }
-
- private:
-  const Partitioner& part_;
-  std::uint64_t last_key_ = 0;
-  std::size_t last_bucket_ = 0;
-  bool valid_ = false;
-};
 
 /// Single-pass radix shuffle write: compute every record's bucket once,
 /// histogram record/payload counts, reserve each destination exactly, then
@@ -83,47 +34,27 @@ class BucketMemo {
 /// within each bucket (bit-identical to per-record push).
 void radix_scatter(const Partition& in, const Partitioner& part,
                    std::span<Partition> buckets);
-/// Parallel form: input sharded into `ctx.threads` contiguous chunks; every
-/// destination arena is pre-sized from per-(shard, bucket) histograms and
-/// shards scatter into disjoint slot ranges computed by offset prefix sums
-/// (no locks, no record copies, no intermediate arenas). Shard s's records
-/// precede shard s+1's within each bucket, so per-bucket order is exactly
-/// the input's encounter order — bit-identical to the sequential path.
-void radix_scatter(const Partition& in, const Partitioner& part,
-                   std::span<Partition> buckets, const ExecContext& ctx);
 
-/// Map-side combine + scatter for reduceByKey: pre-merges `in` per (bucket,
-/// key) with `fn` before anything reaches the shuffle, emitting each
-/// bucket's combined records in ascending key order. Accumulators
-/// initialize from the key's first encounter and `fn` applies in encounter
-/// order — the same sequence (and therefore the same floats) as the
-/// historical unordered_map implementation.
+/// Map-side combine + scatter for reduceByKey: pre-merges `in` per key with
+/// `fn` before anything reaches the shuffle, appending each bucket's
+/// combined records in ascending key order. One pass over the input through
+/// a single open-addressing key table (a key's bucket is a function of the
+/// key, so one table serves every bucket): accumulators initialize from the
+/// key's first encounter and `fn` applies in encounter order — the same
+/// sequence (and therefore the same floats) as the historical per-bucket
+/// unordered_map implementation. The distinct keys are then bucketed and
+/// sorted once.
 void combine_scatter(const Partition& in, const Partitioner& part,
                      const ReduceFn& fn, std::span<Partition> buckets);
-/// Parallel form: bucket assignment and the bucket-major stable counting
-/// sort shard across threads (disjoint output ranges, shard-order = input
-/// order), then buckets combine independently — each through a fixed-size
-/// open-addressing CombineTable (combine_table.h) with spill-to-overflow on
-/// load-factor breach. Accumulation per key follows global encounter order
-/// and emission is ascending by key: bit-identical at any thread count.
-void combine_scatter(const Partition& in, const Partitioner& part,
-                     const ReduceFn& fn, std::span<Partition> buckets,
-                     const ExecContext& ctx);
 
 // -- reduce-side wide merges (start of the consuming stage) ------------------
 
-/// reduceByKey merge: sort-based run scan over the concatenated inputs,
-/// emitting one record per key in ascending key order. No hash map, no
+/// reduceByKey merge: k-way merge of key-sorted inputs (what
+/// combine_scatter emits), else a sort-based run scan over the concatenated
+/// inputs; emits one record per key in ascending key order. No hash map, no
 /// second per-key lookup.
 Partition merge_reduce_by_key(std::vector<Partition>&& parts,
                               const ReduceFn& fn);
-/// Parallel form: the key space is split into disjoint ranges at sampled
-/// splitter keys; each range k-way merges independently and range outputs
-/// concatenate in ascending-range order. Because ranges partition the key
-/// space, the result is independent of the splitters — bit-identical to
-/// the sequential merge at any thread count.
-Partition merge_reduce_by_key(std::vector<Partition>&& parts,
-                              const ReduceFn& fn, const ExecContext& ctx);
 
 /// groupByKey merge: concatenates every key's payload values (and sums
 /// aux_bytes) in encounter order, emitting ascending by key.

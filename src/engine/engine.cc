@@ -37,14 +37,6 @@ Engine::Engine(ClusterSpec cluster, EngineOptions options)
   }
   pool_ = std::make_unique<common::ThreadPool>(threads);
 
-  dp_threads_ = options_.data_plane_threads;
-  if (dp_threads_ == 0) {
-    dp_threads_ = std::max<std::size_t>(2, std::thread::hardware_concurrency());
-  }
-  if (dp_threads_ > 1) {
-    dp_pool_ = std::make_unique<common::ThreadPool>(dp_threads_);
-  }
-
   mem_ledger_.init(cluster_.num_nodes());
   health_.init(cluster_.num_nodes(), options_.health);
   if (options_.memory.enforce) {

@@ -39,7 +39,6 @@ std::vector<Record> Partition::to_records() const {
 }
 
 void Partition::append_records_to(std::vector<Record>& out) const {
-  out.reserve(out.size() + size());
   for (std::size_t i = 0; i < size(); ++i) {
     const std::size_t b = begin_of(i);
     out.push_back(Record{

@@ -111,8 +111,7 @@ void RangePartitioner::partition_of_batch(const std::uint64_t* keys,
                                           std::size_t n,
                                           std::uint32_t* out) const noexcept {
   // Memoized loop: sorted/grouped map outputs repeat keys constantly, so a
-  // single compare usually replaces the binary search (BucketMemo's trick,
-  // without the per-record virtual call).
+  // single compare usually replaces the binary search.
   std::uint64_t last_key = 0;
   std::uint32_t last_bucket = 0;
   bool valid = false;

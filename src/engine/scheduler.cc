@@ -173,6 +173,17 @@ std::vector<std::uint64_t> sample_keys(const std::vector<Partition>& parts,
   return keys;
 }
 
+/// Append every record of a result stage's partitions to `out`, reserving
+/// the stage total once (a per-partition exact reserve would reallocate the
+/// whole result once per partition).
+void collect_records(const std::vector<Partition>& parts,
+                     std::vector<Record>& out) {
+  std::size_t total = out.size();
+  for (const auto& p : parts) total += p.size();
+  out.reserve(total);
+  for (const auto& p : parts) p.append_records_to(out);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -726,9 +737,7 @@ std::size_t JobRunner::adopt_restored() {
     // like commit_attempt does.
     if (plan.is_result && sr.has_result) {
       if (ctx_.collect_records) {
-        for (const auto& part : sr.result_parts) {
-          part.append_records_to(ctx_.result.records);
-        }
+        collect_records(sr.result_parts, ctx_.result.records);
       }
       for (const auto& tm : row.tasks) ctx_.result.count += tm.records_out;
       for (const auto& part : sr.result_parts) restored_bytes += part.bytes();
@@ -1226,8 +1235,7 @@ Partition JobRunner::read_stage_input(std::size_t s, std::size_t p,
       switch (plan.anchor->op()) {
         case OpKind::kReduceByKey:
           part = dataplane::merge_reduce_by_key(std::move(sides),
-                                                plan.anchor->reduce_fn(),
-                                                eng_.data_plane_ctx());
+                                                plan.anchor->reduce_fn());
           break;
         case OpKind::kGroupByKey:
           part = dataplane::merge_group_by_key(std::move(sides));
@@ -1514,9 +1522,9 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
       if (combine) {
         // Map-side combine: pre-merge per (bucket, key) before the shuffle.
         dataplane::combine_scatter(out, *target, cplan.anchor->reduce_fn(),
-                                   row, eng_.data_plane_ctx());
+                                   row);
       } else {
-        dataplane::radix_scatter(out, *target, row, eng_.data_plane_ctx());
+        dataplane::radix_scatter(out, *target, row);
         if (may_move) {
           out = Partition();  // release source records
         }
@@ -2054,9 +2062,7 @@ void JobRunner::commit_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
   // ---- result action -------------------------------------------------------
   if (plan.is_result) {
     if (ctx_.collect_records) {
-      for (const auto& part : rt.output) {
-        part.append_records_to(ctx_.result.records);
-      }
+      collect_records(rt.output, ctx_.result.records);
     }
     for (const auto& tm : sm.tasks) ctx_.result.count += tm.records_out;
     if (eng_.ckpt_hook_ != nullptr) {
@@ -2530,12 +2536,10 @@ void JobRunner::replay_bucket_row(ShuffleOutput& so, std::size_t m,
       static_cast<double>(out.size()) * (combine ? kCombineWork : kBucketWork);
   if (combine) {
     // Must re-combine exactly as the original map task did so the replayed
-    // row is bit-identical to the lost one (the parallel paths are too, at
-    // any thread count — DESIGN.md §18).
-    dataplane::combine_scatter(out, *target, cplan.anchor->reduce_fn(), row,
-                               eng_.data_plane_ctx());
+    // row is bit-identical to the lost one.
+    dataplane::combine_scatter(out, *target, cplan.anchor->reduce_fn(), row);
   } else {
-    dataplane::radix_scatter(out, *target, row, eng_.data_plane_ctx());
+    dataplane::radix_scatter(out, *target, row);
   }
 }
 

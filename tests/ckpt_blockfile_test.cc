@@ -1,16 +1,19 @@
 // Checkpoint block files (src/ckpt/blockfile, DESIGN.md §16): every payload
 // kind round-trips bit-exactly, writes are atomic (temp + rename), and a
-// reader faced with corruption, truncation, a foreign file or a missing
-// file gets a clean nullopt — never silent garbage.
+// reader faced with corruption, truncation, a foreign file, a missing file
+// or a checksum-valid block with hostile counts gets a clean nullopt —
+// never silent garbage, never an exception.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ckpt/blockfile.h"
+#include "common/hash.h"
 #include "engine/partitioner.h"
 
 namespace chopper {
@@ -176,6 +179,121 @@ TEST(CkptBlockfile, KindConfusionRejected) {
   EXPECT_TRUE(ckpt::read_cache_block(path).has_value());
   EXPECT_FALSE(ckpt::read_shuffle_block(path).has_value());
   EXPECT_FALSE(ckpt::read_result_block(path).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Checksum-valid blocks with hostile contents: the decoder itself must
+// bound every count by the bytes left before allocating.
+
+/// Recompute the trailing checksum after editing a block's bytes, so the
+/// decoder (not the checksum) has to reject the edit.
+std::string reseal(std::string file) {
+  file.resize(file.size() - 8);
+  common::Checksum64 sum;
+  sum.update_bytes(file.data(), file.size());
+  const std::uint64_t digest = sum.digest();
+  file.append(reinterpret_cast<const char*>(&digest), 8);
+  return file;
+}
+
+void put_u64_at(std::string& file, std::size_t offset, std::uint64_t v) {
+  std::memcpy(file.data() + offset, &v, 8);
+}
+
+/// Encoded size of one partition: byte count + four length-prefixed arrays.
+std::size_t encoded_size(const engine::Partition& p) {
+  return 8 + (8 + 8 * p.size()) + (8 + 4 * p.size()) + (8 + 8 * p.size()) +
+         (8 + 8 * p.values_size());
+}
+
+/// A 2 x 3 shuffle block, plus the file offset of its bucket count `r`
+/// (the u64 right before the first encoded partition).
+struct ShuffleFixture {
+  std::string path;
+  std::string file;
+  std::size_t r_offset = 0;
+  std::size_t rows_bytes = 0;  ///< bytes of all encoded partitions
+  std::size_t last_part_bytes = 0;
+};
+
+ShuffleFixture write_shuffle_fixture(const std::string& leaf) {
+  ShuffleFixture f;
+  f.path = temp_path(leaf);
+  engine::ShuffleOutput so;
+  so.partitioner = std::make_shared<engine::HashPartitioner>(3);
+  so.num_map_tasks = 2;
+  so.map_node = {0, 1};
+  so.buckets.resize(2);
+  for (std::size_t m = 0; m < 2; ++m) {
+    for (std::size_t r = 0; r < 3; ++r) {
+      so.buckets[m].push_back(make_part(10 * m + r, 4 + r));
+      f.rows_bytes += encoded_size(so.buckets[m].back());
+    }
+  }
+  f.last_part_bytes = encoded_size(so.buckets[1][2]);
+  EXPECT_TRUE(ckpt::write_shuffle_block(f.path, 0, so, /*sync=*/false));
+  f.file = slurp(f.path);
+  f.r_offset = f.file.size() - 8 - f.rows_bytes - 8;
+  return f;
+}
+
+std::optional<engine::RestoredShuffle> read_shuffle_no_throw(
+    const std::string& path) {
+  std::optional<engine::RestoredShuffle> out;
+  EXPECT_NO_THROW(out = ckpt::read_shuffle_block(path));
+  return out;
+}
+
+TEST(CkptBlockfile, ShuffleFixtureDecodes) {
+  // Guards the fixture's offset arithmetic the hostile tests rely on.
+  ShuffleFixture f = write_shuffle_fixture("shuffle_fixture.blk");
+  std::uint64_t r = 0;
+  std::memcpy(&r, f.file.data() + f.r_offset, 8);
+  EXPECT_EQ(r, 3u);
+  EXPECT_TRUE(read_shuffle_no_throw(f.path).has_value());
+}
+
+TEST(CkptBlockfile, ShuffleHostileBucketCountRejected) {
+  ShuffleFixture f = write_shuffle_fixture("shuffle_hostile_r.blk");
+  for (const std::uint64_t r :
+       {std::uint64_t{1} << 62, std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    std::string bytes = f.file;
+    put_u64_at(bytes, f.r_offset, r);
+    spit(f.path, reseal(bytes));
+    EXPECT_FALSE(read_shuffle_no_throw(f.path).has_value()) << "r=" << r;
+  }
+}
+
+TEST(CkptBlockfile, ShuffleSplicedCountRejected) {
+  // r alone fits the bytes left (one row's worth of minimal partitions),
+  // but m x r does not: the bound must cover the whole grid.
+  ShuffleFixture f = write_shuffle_fixture("shuffle_spliced.blk");
+  std::string bytes = f.file;
+  put_u64_at(bytes, f.r_offset, f.rows_bytes / (5 * 8));
+  spit(f.path, reseal(bytes));
+  EXPECT_FALSE(read_shuffle_no_throw(f.path).has_value());
+}
+
+TEST(CkptBlockfile, ShuffleTruncatedRowRejected) {
+  // The last partition loses its tail; the checksum is re-sealed so only
+  // the decoder can notice the short row.
+  ShuffleFixture f = write_shuffle_fixture("shuffle_truncated.blk");
+  std::string bytes = f.file;
+  bytes.erase(bytes.size() - 8 - f.last_part_bytes / 2, f.last_part_bytes / 2);
+  spit(f.path, reseal(bytes));
+  EXPECT_FALSE(read_shuffle_no_throw(f.path).has_value());
+}
+
+TEST(CkptBlockfile, ResultHostileCountRejected) {
+  const std::string path = temp_path("result_hostile.blk");
+  ASSERT_TRUE(
+      ckpt::write_result_block(path, {make_part(1, 3)}, /*sync=*/false));
+  std::string bytes = slurp(path);
+  put_u64_at(bytes, 16, std::uint64_t{1} << 60);  // count follows the header
+  spit(path, reseal(bytes));
+  std::optional<std::vector<engine::Partition>> out;
+  EXPECT_NO_THROW(out = ckpt::read_result_block(path));
+  EXPECT_FALSE(out.has_value());
 }
 
 }  // namespace

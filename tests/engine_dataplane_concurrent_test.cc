@@ -1,24 +1,20 @@
-// Concurrency soak for the parallel data plane (DESIGN.md §18), built to
-// run under TSan (ctest -L tsan): hammer the lock-free CombineTable from
-// many threads at once, drive the parallel primitives from several caller
-// threads sharing one worker pool (the service shape: concurrent engine
-// tasks each fanning out on the shared data-plane pool), and run a whole
-// engine job mix with host_threads and data_plane_threads both > 1. The
-// assertions are correctness invariants; the real product here is TSan
-// coverage of the CAS claim protocol, the thread_local combine scratch, and
-// the shard hand-off barriers.
+// Concurrency soak for the data plane, built to run under TSan (ctest -L
+// tsan). The primitives run on the calling task's thread and keep their
+// combine scratch thread_local, so concurrent engine tasks must never share
+// or corrupt each other's state: drive the primitives from several caller
+// threads at once, and run a combine-heavy engine job mix with
+// host_threads > 1 against a single-threaded engine. The assertions are
+// correctness invariants; the real product here is TSan coverage of the
+// thread_local combine scratch under concurrent task threads.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "chaos.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "engine/combine_table.h"
 #include "engine/dataplane.h"
 #include "engine/engine.h"
 #include "engine/partitioner.h"
@@ -36,114 +32,27 @@ Partition make_partition(std::size_t n, std::size_t distinct,
   common::Xoshiro256 rng(seed);
   Partition p;
   for (std::size_t i = 0; i < n; ++i) {
-    const double vals[2] = {static_cast<double>(rng.next_below(100)), 1.0};
+    const double vals[2] = {rng.next_double(), 1.0};
     p.emplace(rng.next_below(distinct), vals, 2, 0);
   }
   return p;
 }
 
 // ---------------------------------------------------------------------------
-// CombineTable under concurrent claims: the slot CAS must linearize same-key
-// races (everyone adopts one gid per key), the load budget must hold, and
-// for_each must see a consistent table afterwards.
+// Concurrent callers: the service shape — several engine task threads each
+// running a primitive at once, with key cardinalities that grow each
+// thread's combine table to a different size. Every caller's output must
+// equal the reference computed up front on one thread.
 
-TEST(ConcurrentDataPlane, CombineTableChurn) {
-  dataplane::CombineTable table;
-  constexpr std::size_t kKeys = 1500;
-  table.reset(2 * kKeys);  // roomy: this arm tests racing claims, not spill
-  constexpr std::size_t kThreads = 8;
-
-  std::atomic<std::uint32_t> next_gid{0};
-  std::vector<std::vector<std::uint32_t>> seen(kThreads);
-  std::vector<std::thread> workers;
-  for (std::size_t w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&, w] {
-      common::Xoshiro256 rng(w + 1);
-      auto& mine = seen[w];
-      mine.assign(kKeys, dataplane::CombineTable::kSpill);
-      for (std::size_t i = 0; i < 40'000; ++i) {
-        const std::uint64_t key = rng.next_below(kKeys) + 1;
-        // Optimistic gid: racing claimers may burn gids (that is fine — gids
-        // only need to be unique per resident key, not dense here).
-        const std::uint32_t gid =
-            table.find_or_claim(key, next_gid.fetch_add(1));
-        ASSERT_NE(gid, dataplane::CombineTable::kSpill);
-        // A key's gid must never change once observed.
-        if (mine[key - 1] == dataplane::CombineTable::kSpill) {
-          mine[key - 1] = gid;
-        } else {
-          ASSERT_EQ(mine[key - 1], gid) << "gid changed for key " << key;
-        }
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-
-  // Cross-thread agreement + table consistency.
-  std::map<std::uint64_t, std::uint32_t> resident;
-  table.for_each([&](std::uint64_t key, std::uint32_t gid) {
-    const bool inserted = resident.emplace(key, gid).second;
-    EXPECT_TRUE(inserted) << "key " << key << " resident twice";
-  });
-  EXPECT_EQ(resident.size(), table.size());
-  EXPECT_LE(table.size(), table.max_size());
-  for (std::size_t w = 0; w < kThreads; ++w) {
-    for (std::size_t k = 0; k < kKeys; ++k) {
-      if (seen[w][k] == dataplane::CombineTable::kSpill) continue;
-      const auto it = resident.find(k + 1);
-      ASSERT_NE(it, resident.end());
-      EXPECT_EQ(it->second, seen[w][k])
-          << "thread " << w << " saw a different gid for key " << k + 1;
-    }
-  }
-}
-
-TEST(ConcurrentDataPlane, CombineTableChurnWithSpill) {
-  // Tiny table: most keys spill. The budget reservation must keep size()
-  // within max_size() no matter how claims race, and resident keys must
-  // still answer consistently.
-  dataplane::CombineTable table;
-  table.reset(1);  // capacity 64, max_size 32
-  constexpr std::size_t kThreads = 8;
-  std::vector<std::thread> workers;
-  for (std::size_t w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&, w] {
-      common::Xoshiro256 rng(100 + w);
-      for (std::size_t i = 0; i < 20'000; ++i) {
-        const std::uint64_t key = rng.next_below(500) + 1;
-        const std::uint32_t gid =
-            table.find_or_claim(key, static_cast<std::uint32_t>(w * 20'000 + i));
-        if (gid != dataplane::CombineTable::kSpill) {
-          ASSERT_EQ(table.find_or_claim(key, 0xabcdef), gid);
-        }
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  EXPECT_LE(table.size(), table.max_size());
-  std::size_t visited = 0;
-  table.for_each([&](std::uint64_t, std::uint32_t) { ++visited; });
-  EXPECT_EQ(visited, table.size());
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent callers of the parallel primitives sharing one pool: the
-// service shape — several engine task threads each fan a primitive out on
-// the shared data-plane pool. Outputs must equal the sequential reference
-// for every caller (also exercises the thread_local combine scratch being
-// re-entered from pool workers and caller threads alike).
-
-TEST(ConcurrentDataPlane, SharedPoolConcurrentPrimitives) {
+TEST(ConcurrentDataPlane, ConcurrentCallersMatchSequential) {
   const HashPartitioner hash(11);
   constexpr std::size_t kCallers = 6;
-  common::ThreadPool pool(4);
-  const dataplane::ExecContext ctx{&pool, 4};
 
   std::vector<Partition> inputs(kCallers);
   std::vector<std::vector<Partition>> want_scatter(kCallers);
   std::vector<std::vector<Partition>> want_combine(kCallers);
   for (std::size_t c = 0; c < kCallers; ++c) {
-    inputs[c] = make_partition(8192, 256 + 64 * c, 7 + c);
+    inputs[c] = make_partition(8192, std::size_t{64} << (2 * c), 7 + c);
     want_scatter[c].resize(hash.num_partitions());
     dataplane::radix_scatter(inputs[c], hash, want_scatter[c]);
     want_combine[c].resize(hash.num_partitions());
@@ -154,14 +63,16 @@ TEST(ConcurrentDataPlane, SharedPoolConcurrentPrimitives) {
   for (std::size_t c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, c] {
       for (int round = 0; round < 4; ++round) {
+        // Alternate inputs so each thread's scratch shrinks and regrows.
+        const std::size_t in = (c + static_cast<std::size_t>(round)) % kCallers;
         std::vector<Partition> scatter(hash.num_partitions());
-        dataplane::radix_scatter(inputs[c], hash, scatter, ctx);
+        dataplane::radix_scatter(inputs[in], hash, scatter);
         std::vector<Partition> combine(hash.num_partitions());
-        dataplane::combine_scatter(inputs[c], hash, sum_fn, combine, ctx);
+        dataplane::combine_scatter(inputs[in], hash, sum_fn, combine);
         for (std::size_t r = 0; r < hash.num_partitions(); ++r) {
-          ASSERT_EQ(scatter[r].checksum(), want_scatter[c][r].checksum())
+          ASSERT_EQ(scatter[r].checksum(), want_scatter[in][r].checksum())
               << "caller " << c << " round " << round << " bucket " << r;
-          ASSERT_EQ(combine[r].checksum(), want_combine[c][r].checksum())
+          ASSERT_EQ(combine[r].checksum(), want_combine[in][r].checksum())
               << "caller " << c << " round " << round << " bucket " << r;
         }
       }
@@ -171,22 +82,119 @@ TEST(ConcurrentDataPlane, SharedPoolConcurrentPrimitives) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-engine soak: host task pool and data-plane pool both active, two
-// jobs back to back. Checks results against a sequential engine.
+// Parallel tasks: the engine's parallelism is one task per partition, so a
+// primitive run by t task threads at once must give every thread the
+// sequential result — same records, same order, same bytes — at every
+// thread count.
+
+const std::size_t kThreadCounts[] = {2, 3, 7, 8};
+constexpr std::size_t kRecords = 16 * 1024;
+
+void expect_same_records(const Partition& got, const Partition& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.bytes(), want.bytes());
+  EXPECT_EQ(got.checksum(), want.checksum());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got.key(i), want.key(i)) << "record " << i;
+    ASSERT_EQ(got.aux(i), want.aux(i)) << "record " << i;
+    const auto gv = got.values(i);
+    const auto wv = want.values(i);
+    ASSERT_EQ(gv.size(), wv.size()) << "record " << i;
+    for (std::size_t j = 0; j < gv.size(); ++j) {
+      ASSERT_EQ(gv[j], wv[j]) << "record " << i << " value " << j;
+    }
+  }
+}
+
+/// Runs `task(i)` on `threads` threads at once and joins them.
+template <typename Task>
+void run_concurrently(std::size_t threads, Task task) {
+  std::vector<std::thread> pool;
+  for (std::size_t i = 0; i < threads; ++i) pool.emplace_back(task, i);
+  for (auto& t : pool) t.join();
+}
+
+std::vector<Partition> make_parts(std::size_t count, std::size_t distinct,
+                                  bool sorted) {
+  std::vector<Partition> parts(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    parts[i] = make_partition(2048 + 128 * i, distinct, 100 + i);
+    if (sorted) parts[i].stable_sort_by_key();
+  }
+  return parts;
+}
+
+/// merge_reduce_by_key over `make_parts(count, distinct, sorted)`, once
+/// sequentially and once per thread on t concurrent threads.
+void expect_concurrent_merges_match(std::size_t count, std::size_t distinct,
+                                    bool sorted) {
+  const Partition want = dataplane::merge_reduce_by_key(
+      make_parts(count, distinct, sorted), sum_fn);
+  for (const std::size_t t : kThreadCounts) {
+    std::vector<std::vector<Partition>> inputs(t);
+    for (auto& in : inputs) in = make_parts(count, distinct, sorted);
+    std::vector<Partition> got(t);
+    run_concurrently(t, [&](std::size_t i) {
+      got[i] = dataplane::merge_reduce_by_key(std::move(inputs[i]), sum_fn);
+    });
+    for (std::size_t i = 0; i < t; ++i) {
+      SCOPED_TRACE("distinct=" + std::to_string(distinct) + " threads=" +
+                   std::to_string(t) + " thread=" + std::to_string(i));
+      expect_same_records(got[i], want);
+    }
+  }
+}
+
+TEST(ParallelDataPlane, ScatterMatchesSequentialHash) {
+  const Partition data = make_partition(kRecords, 512, 7);
+  const HashPartitioner hash(13);
+  std::vector<Partition> want(hash.num_partitions());
+  dataplane::radix_scatter(data, hash, want);
+
+  for (const std::size_t t : kThreadCounts) {
+    std::vector<std::vector<Partition>> got(
+        t, std::vector<Partition>(hash.num_partitions()));
+    run_concurrently(t, [&](std::size_t i) {
+      dataplane::radix_scatter(data, hash, got[i]);
+    });
+    for (std::size_t i = 0; i < t; ++i) {
+      for (std::size_t r = 0; r < want.size(); ++r) {
+        SCOPED_TRACE("threads=" + std::to_string(t) + " thread=" +
+                     std::to_string(i) + " bucket=" + std::to_string(r));
+        expect_same_records(got[i][r], want[r]);
+      }
+    }
+  }
+}
+
+TEST(ParallelDataPlane, MergeMatchesSequentialSortedRuns) {
+  for (const std::size_t distinct : {std::size_t{256}, std::size_t{50'000}}) {
+    expect_concurrent_merges_match(8, distinct, /*sorted=*/true);
+  }
+}
+
+TEST(ParallelDataPlane, MergeMatchesSequentialUnsortedInputs) {
+  expect_concurrent_merges_match(6, 512, /*sorted=*/false);
+}
+
+// ---------------------------------------------------------------------------
+// Whole-engine soak: four host task threads running map-side combines
+// concurrently, two jobs back to back, checked against a one-thread engine
+// (run digest, makespan and every collected record).
 
 TEST(ConcurrentDataPlane, EngineJobsWithParallelPlane) {
-  const auto job = [] {
+  const auto job = [](std::uint64_t mod) {
     return Dataset::source(
                "cdp-src", 8,
-               [](std::size_t index, std::size_t count) {
+               [mod](std::size_t index, std::size_t count) {
                  Partition p;
                  const std::size_t total = 20'000;
                  const std::size_t begin = total * index / count;
                  const std::size_t end = total * (index + 1) / count;
                  for (std::size_t i = begin; i < end; ++i) {
                    Record r;
-                   r.key = (i * 2654435761ULL) % 499;
-                   r.values = {static_cast<double>(i % 97), 1.0};
+                   r.key = (i * 2654435761ULL) % mod;
+                   r.values = {static_cast<double>(i % 97) * 0.1, 1.0};
                    p.push(std::move(r));
                  }
                  return p;
@@ -194,28 +202,31 @@ TEST(ConcurrentDataPlane, EngineJobsWithParallelPlane) {
         ->reduce_by_key("cdp-sum", sum_fn,
                         ShuffleRequest{std::nullopt, 8, false});
   };
-  const auto sorted = [](std::vector<Record> rows) {
-    std::sort(rows.begin(), rows.end(),
-              [](const Record& a, const Record& b) { return a.key < b.key; });
-    return rows;
-  };
 
-  EngineOptions seq;
-  seq.default_parallelism = 8;
-  seq.host_threads = 4;
-  seq.data_plane_threads = 1;
-  Engine ref(ClusterSpec::uniform(2, 2), seq);
-  const auto want = sorted(ref.collect(job(), "cdp").records);
+  for (const std::uint64_t mod : {std::uint64_t{499}, std::uint64_t{15'013}}) {
+    EngineOptions seq;
+    seq.default_parallelism = 8;
+    seq.host_threads = 1;
+    Engine ref(ClusterSpec::uniform(2, 2), seq);
+    const auto want = ref.collect(job(mod), "cdp");
 
-  EngineOptions par = seq;
-  par.data_plane_threads = 4;
-  Engine eng(ClusterSpec::uniform(2, 2), par);
-  for (int round = 0; round < 2; ++round) {
-    const auto got = sorted(eng.collect(job(), "cdp").records);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].key, want[i].key);
-      ASSERT_EQ(got[i].values, want[i].values);
+    EngineOptions par = seq;
+    par.host_threads = 4;
+    Engine eng(ClusterSpec::uniform(2, 2), par);
+    for (int round = 0; round < 2; ++round) {
+      const auto got = eng.collect(job(mod), "cdp");
+      if (round == 0) {
+        EXPECT_EQ(bench::metrics_digest(eng.metrics()),
+                  bench::metrics_digest(ref.metrics()))
+            << "mod " << mod;
+      }
+      EXPECT_EQ(got.sim_time_s, want.sim_time_s) << "mod " << mod;
+      ASSERT_EQ(got.records.size(), want.records.size()) << "mod " << mod;
+      for (std::size_t i = 0; i < got.records.size(); ++i) {
+        ASSERT_EQ(got.records[i].key, want.records[i].key) << "mod " << mod;
+        ASSERT_EQ(got.records[i].values, want.records[i].values)
+            << "mod " << mod;
+      }
     }
   }
 }

@@ -3,6 +3,8 @@
 // per-record reference implementations — same records, same order, same
 // bytes — and the combiner toggle must never change a job's results, its
 // replayed history, or its recovery behavior, only its shuffle volume.
+// Also covers the batched partitioner dispatch (partition_of_batch ==
+// partition_of).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,6 +65,74 @@ void expect_same_records(const Partition& got, const Partition& want) {
   }
 }
 
+/// Non-integer payloads of 2 or 3 doubles and varied aux bytes: sums depend
+/// on the order `fn` is applied in, so exact equality with the references
+/// below checks the encounter-order contract, not just the key sets.
+Partition make_float_partition(std::size_t n, std::size_t distinct,
+                               std::uint64_t seed) {
+  common::Xoshiro256 rng(seed);
+  Partition p;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double vals[3] = {rng.next_double(), rng.next_double(),
+                            static_cast<double>(i % 7)};
+    p.emplace(rng.next_below(distinct), vals, 2 + (i % 2),
+              static_cast<std::uint32_t>(i % 5));
+  }
+  return p;
+}
+
+// -- per-record reference implementations -----------------------------------
+
+/// Shuffle write: one partition_of call and one push per record.
+void reference_scatter(const Partition& data, const Partitioner& part,
+                       std::vector<Partition>& buckets) {
+  Record scratch;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data.materialize_into(i, scratch);
+    buckets[part.partition_of(scratch.key)].push(scratch);
+  }
+}
+
+/// Map-side combine: per-bucket hash map, `fn` in encounter order,
+/// ascending-key emission.
+std::vector<Partition> reference_combine(const Partition& data,
+                                         const Partitioner& part) {
+  std::vector<std::unordered_map<std::uint64_t, Record>> accs(
+      part.num_partitions());
+  Record scratch;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data.materialize_into(i, scratch);
+    auto& acc = accs[part.partition_of(scratch.key)];
+    auto [it, inserted] = acc.try_emplace(scratch.key, scratch);
+    if (!inserted) sum_fn(it->second, scratch);
+  }
+  std::vector<Partition> out(part.num_partitions());
+  for (std::size_t r = 0; r < accs.size(); ++r) {
+    std::vector<std::uint64_t> keys;
+    for (const auto& [k, v] : accs[r]) keys.push_back(k);
+    std::sort(keys.begin(), keys.end());
+    for (const auto k : keys) out[r].push(accs[r].at(k));
+  }
+  return out;
+}
+
+/// reduceByKey merge: one hash map over the parts in order (part order,
+/// then encounter order within a part), ascending-key emission.
+Partition reference_merge_reduce(const std::vector<Partition>& parts) {
+  std::map<std::uint64_t, Record> acc;
+  Record scratch;
+  for (const auto& p : parts) {
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      p.materialize_into(i, scratch);
+      auto [it, inserted] = acc.try_emplace(scratch.key, scratch);
+      if (!inserted) sum_fn(it->second, scratch);
+    }
+  }
+  Partition out;
+  for (const auto& [k, r] : acc) out.push(r);
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // radix_scatter: one partitioner call per record, same buckets and order as
 // the per-record reference loop.
@@ -75,13 +145,66 @@ TEST(DataPlane, RadixScatterMatchesPerRecordReference) {
   dataplane::radix_scatter(data, hash, got);
 
   std::vector<Partition> want(hash.num_partitions());
-  Record scratch;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data.materialize_into(i, scratch);
-    want[hash.partition_of(scratch.key)].push(scratch);
-  }
+  reference_scatter(data, hash, want);
   for (std::size_t r = 0; r < want.size(); ++r) {
     expect_same_records(got[r], want[r]);
+  }
+}
+
+TEST(DataPlane, RadixScatterRangeMatchesPerRecordReference) {
+  const Partition data = make_float_partition(16 * 1024, 4096, 11);
+  std::vector<std::uint64_t> sample;
+  for (std::uint64_t k = 0; k < 4096; k += 37) sample.push_back(k);
+  const auto range = RangePartitioner::from_sample(9, sample);
+
+  std::vector<Partition> got(range->num_partitions());
+  dataplane::radix_scatter(data, *range, got);
+  std::vector<Partition> want(range->num_partitions());
+  reference_scatter(data, *range, want);
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    SCOPED_TRACE("bucket=" + std::to_string(r));
+    expect_same_records(got[r], want[r]);
+  }
+}
+
+TEST(DataPlane, RadixScatterAppendsToNonEmptyBuckets) {
+  // The scheduler scatters several map tasks into the same bucket row:
+  // records must append after the existing ones, in encounter order.
+  const Partition first = make_float_partition(2048, 128, 3);
+  const Partition second = make_float_partition(16 * 1024, 128, 4);
+  const HashPartitioner hash(5);
+
+  std::vector<Partition> got(hash.num_partitions());
+  dataplane::radix_scatter(first, hash, got);
+  dataplane::radix_scatter(second, hash, got);
+  std::vector<Partition> want(hash.num_partitions());
+  reference_scatter(first, hash, want);
+  reference_scatter(second, hash, want);
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    expect_same_records(got[r], want[r]);
+  }
+}
+
+TEST(DataPlane, EmptyAndTinyInputs) {
+  const HashPartitioner hash(4);
+  std::vector<Partition> got(4);
+  dataplane::radix_scatter(Partition{}, hash, got);
+  dataplane::combine_scatter(Partition{}, hash, sum_fn, got);
+  for (const auto& p : got) EXPECT_EQ(p.size(), 0u);
+  EXPECT_EQ(dataplane::merge_reduce_by_key({}, sum_fn).size(), 0u);
+
+  // Fewer records than buckets.
+  const Partition tiny = make_float_partition(3, 2, 19);
+  std::vector<Partition> want(4);
+  reference_scatter(tiny, hash, want);
+  dataplane::radix_scatter(tiny, hash, got);
+  for (std::size_t r = 0; r < 4; ++r) expect_same_records(got[r], want[r]);
+
+  std::vector<Partition> combined(4);
+  dataplane::combine_scatter(tiny, hash, sum_fn, combined);
+  const auto want_combined = reference_combine(tiny, hash);
+  for (std::size_t r = 0; r < 4; ++r) {
+    expect_same_records(combined[r], want_combined[r]);
   }
 }
 
@@ -115,26 +238,39 @@ TEST(DataPlane, CombineScatterMatchesScatterThenReduce) {
   std::vector<Partition> got(hash.num_partitions());
   dataplane::combine_scatter(data, hash, sum_fn, got);
 
-  std::vector<Partition> want(hash.num_partitions());
-  {
-    std::vector<std::unordered_map<std::uint64_t, Record>> accs(
-        hash.num_partitions());
-    Record scratch;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      data.materialize_into(i, scratch);
-      auto& acc = accs[hash.partition_of(scratch.key)];
-      auto [it, inserted] = acc.try_emplace(scratch.key, scratch);
-      if (!inserted) sum_fn(it->second, scratch);
-    }
-    for (std::size_t r = 0; r < accs.size(); ++r) {
-      std::vector<std::uint64_t> keys;
-      for (const auto& [k, v] : accs[r]) keys.push_back(k);
-      std::sort(keys.begin(), keys.end());
-      for (const auto k : keys) want[r].push(accs[r].at(k));
-    }
-  }
+  const auto want = reference_combine(data, hash);
   for (std::size_t r = 0; r < want.size(); ++r) {
     expect_same_records(got[r], want[r]);
+  }
+}
+
+TEST(DataPlane, CombineScatterKeyCardinalityRegimes) {
+  // Heavy duplication, mixed, and all-distinct keys (the key table grows
+  // through many doublings), under hash and range partitioning, appended
+  // after existing bucket contents.
+  std::vector<std::uint64_t> sample;
+  for (std::uint64_t k = 0; k < 100'000; k += 997) sample.push_back(k);
+  const auto range = RangePartitioner::from_sample(9, sample);
+  const HashPartitioner hash(7);
+  const Partition prefix = make_float_partition(512, 64, 5);
+  for (const Partitioner* part : {static_cast<const Partitioner*>(&hash),
+                                  static_cast<const Partitioner*>(range.get())}) {
+    for (const std::size_t distinct :
+         {std::size_t{64}, std::size_t{4096}, std::size_t{1} << 40}) {
+      const Partition data = make_float_partition(16 * 1024, distinct, 23);
+      std::vector<Partition> got(part->num_partitions());
+      dataplane::combine_scatter(prefix, *part, sum_fn, got);
+      dataplane::combine_scatter(data, *part, sum_fn, got);
+      auto want = reference_combine(prefix, *part);
+      const auto want_data = reference_combine(data, *part);
+      for (std::size_t r = 0; r < want.size(); ++r) {
+        want[r].absorb(Partition(want_data[r]));
+        SCOPED_TRACE(std::string(to_string(part->kind())) + " distinct=" +
+                     std::to_string(distinct) + " bucket=" +
+                     std::to_string(r));
+        expect_same_records(got[r], want[r]);
+      }
+    }
   }
 }
 
@@ -213,6 +349,44 @@ TEST(DataPlane, MergeReduceMatchesHashReference) {
       EXPECT_EQ(gv[j], want.values[j]);
     }
   }
+}
+
+TEST(DataPlane, MergeReduceMatchesReferenceAcrossLayouts) {
+  // Key-sorted runs (the k-way path) and unsorted inputs (the sort-based
+  // fallback), low and high key cardinality: bit-identical to the
+  // encounter-order reference.
+  for (const bool sorted : {true, false}) {
+    for (const std::size_t distinct : {std::size_t{256}, std::size_t{50'000}}) {
+      std::vector<Partition> parts(8);
+      for (std::size_t i = 0; i < parts.size(); ++i) {
+        parts[i] = make_float_partition(2048 + 128 * i, distinct, 100 + i);
+        if (sorted) parts[i].stable_sort_by_key();
+      }
+      const Partition want = reference_merge_reduce(parts);
+      const Partition got =
+          dataplane::merge_reduce_by_key(std::move(parts), sum_fn);
+      SCOPED_TRACE("sorted=" + std::to_string(sorted) + " distinct=" +
+                   std::to_string(distinct));
+      expect_same_records(got, want);
+    }
+  }
+}
+
+TEST(DataPlane, MergeReduceSkewedKeys) {
+  // One key carries half of all records.
+  std::vector<Partition> parts(4);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    common::Xoshiro256 rng(500 + p);
+    for (std::size_t i = 0; i < 4096; ++i) {
+      const double vals[2] = {rng.next_double(), 1.0};
+      const std::uint64_t key = (i % 2 == 0) ? 42 : rng.next_below(64);
+      parts[p].emplace(key, vals, 2, 0);
+    }
+    parts[p].stable_sort_by_key();
+  }
+  const Partition want = reference_merge_reduce(parts);
+  const Partition got = dataplane::merge_reduce_by_key(std::move(parts), sum_fn);
+  expect_same_records(got, want);
 }
 
 TEST(DataPlane, MergeGroupByKeyConcatenatesInEncounterOrder) {
@@ -398,6 +572,39 @@ TEST(CombinerFaultRecovery, LostMapRowsReplayIdenticallyInBothModes) {
     EXPECT_GT(got.recomputed_tasks, 0u) << "combine=" << combine;
     EXPECT_GT(got.lost_bytes, 0u) << "combine=" << combine;
     EXPECT_GT(got.recomputed_bytes, 0u) << "combine=" << combine;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// partition_of_batch: the autovectorized batch must equal the scalar call.
+
+TEST(PartitionerBatch, HashBatchMatchesScalar) {
+  const HashPartitioner hash(300);
+  common::Xoshiro256 rng(1);
+  // Deliberately not a multiple of 8 to cover the scalar tail.
+  std::vector<std::uint64_t> keys(4099);
+  for (auto& k : keys) k = rng();
+  std::vector<std::uint32_t> got(keys.size());
+  hash.partition_of_batch(keys.data(), keys.size(), got.data());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(got[i], hash.partition_of(keys[i])) << "key " << i;
+  }
+}
+
+TEST(PartitionerBatch, RangeBatchMatchesScalar) {
+  common::Xoshiro256 rng(2);
+  std::vector<std::uint64_t> sample(512);
+  for (auto& k : sample) k = rng.next_below(1 << 16);
+  const auto range = RangePartitioner::from_sample(37, sample);
+  // Sorted-ish input exercises the memoized fast path; random the slow one.
+  std::vector<std::uint64_t> keys(2051);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = (i < 1000) ? i * 13 % (1 << 16) : rng.next_below(1 << 16);
+  }
+  std::vector<std::uint32_t> got(keys.size());
+  range->partition_of_batch(keys.data(), keys.size(), got.data());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(got[i], range->partition_of(keys[i])) << "key " << i;
   }
 }
 

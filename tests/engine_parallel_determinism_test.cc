@@ -1,11 +1,11 @@
-// End-to-end determinism of the parallel data plane (DESIGN.md §18): a job
+// End-to-end determinism across host task threads (DESIGN.md §18): a job
 // digest — collected rows, workload summary doubles, and the full
 // stage/task metrics fingerprint — must be bit-identical at every
-// data_plane_threads value, including under an injected OOM retry and
-// across a crash + checkpoint resume. This is the contract that lets
-// operators turn on --threads without invalidating digests, replay logs,
-// lineage recovery, or checkpoint WALs recorded at a different thread
-// count.
+// host_threads value, including under an injected OOM retry and across a
+// crash + checkpoint resume. Tasks run concurrently on the host pool, each
+// with its own thread_local combine scratch; this is the contract that
+// keeps digests, replay logs, lineage recovery and checkpoint WALs
+// independent of the thread count they were recorded at.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,15 +29,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// The thread counts the contract is checked at (1 is the reference: the
-// sequential PR-5 path).
+// The thread counts the contract is checked at (1 is the reference: every
+// task runs on one host thread).
 const std::size_t kThreadCounts[] = {2, 7, 8};
 
-engine::EngineOptions small_options(std::size_t dp_threads) {
+engine::EngineOptions small_options(std::size_t host_threads) {
   engine::EngineOptions o;
   o.default_parallelism = 12;
-  o.host_threads = 4;
-  o.data_plane_threads = dp_threads;
+  o.host_threads = host_threads;
   return o;
 }
 
@@ -171,7 +170,7 @@ TEST(ParallelDeterminism, PageRankDigestIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault arms: the parallel plane inside retry/recovery machinery.
+// Fault arms: concurrent tasks inside retry/recovery machinery.
 
 engine::DatasetPtr sum_job() {
   return engine::Dataset::source(
@@ -209,11 +208,11 @@ std::vector<engine::Record> sorted_rows(std::vector<engine::Record> rows) {
 
 TEST(ParallelDeterminism, OomRetryIdenticalAcrossThreadCounts) {
   // The injected OOM kills the reduce stage's first two attempts; the third
-  // runs clean. The replayed attempts route through the same parallel
+  // runs clean. The replayed attempts route through the same
   // scatter/combine/merge code — results and the retry telemetry must not
   // depend on the thread count.
-  const auto with_oom = [](std::size_t dp_threads) {
-    engine::EngineOptions o = small_options(dp_threads);
+  const auto with_oom = [](std::size_t host_threads) {
+    engine::EngineOptions o = small_options(host_threads);
     o.oom_schedule.ooms.push_back(
         engine::OomInjection{/*stage_id=*/1, /*attempts=*/2, /*task=*/0});
     return o;
@@ -237,13 +236,13 @@ TEST(ParallelDeterminism, OomRetryIdenticalAcrossThreadCounts) {
 TEST(ParallelDeterminism, CrashResumeAcrossThreadCountChange) {
   // Record a checkpoint WAL at 1 thread, crash at the first stage barrier,
   // then resume the driver at 8 threads (and vice versa). Adopted stages
-  // replay from the WAL, re-executed stages run through the parallel plane —
-  // the digest must match the uninterrupted single-threaded reference.
-  const auto drive = [](const std::string& dir, std::size_t dp_threads,
+  // replay from the WAL, re-executed stages run as concurrent tasks — the
+  // digest must match the uninterrupted single-threaded reference.
+  const auto drive = [](const std::string& dir, std::size_t host_threads,
                         const ckpt::CrashSchedule& crash,
                         engine::ResumeLedger* ledger, bool* crashed) {
     engine::Engine eng(engine::ClusterSpec::uniform(2, 2),
-                       small_options(dp_threads));
+                       small_options(host_threads));
     obs::EventLog log;
     ckpt::CheckpointOptions co;
     co.crash = crash;
@@ -295,7 +294,7 @@ TEST(ParallelDeterminism, CrashResumeAcrossThreadCountChange) {
   }
 }
 
-// data_plane_threads = 0 resolves to hardware concurrency and still matches.
+// host_threads = 0 resolves to hardware concurrency and still matches.
 TEST(ParallelDeterminism, AutoThreadCountMatchesSequential) {
   engine::Engine ref_eng(engine::ClusterSpec::uniform(2, 2), small_options(1));
   const auto ref = ref_eng.collect(sum_job(), "pd-auto");

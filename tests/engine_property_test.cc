@@ -7,6 +7,7 @@
 
 #include <map>
 #include <numeric>
+#include <ostream>
 
 #include "engine/engine.h"
 
@@ -51,6 +52,15 @@ struct Config {
   std::size_t nodes;
   std::size_t cores;
 };
+
+// gtest would otherwise name each case by a byte dump of Config, padding
+// bytes included, so the discovered test names would change from build to
+// build.
+void PrintTo(const Config& cfg, std::ostream* os) {
+  *os << to_string(cfg.kind) << " src=" << cfg.source_partitions
+      << " reduce=" << cfg.reduce_partitions << " cluster=" << cfg.nodes
+      << "x" << cfg.cores;
+}
 
 class ResultInvariance : public ::testing::TestWithParam<Config> {};
 

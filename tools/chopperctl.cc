@@ -72,7 +72,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -134,10 +133,8 @@ void print_usage(std::FILE* out, const std::string& cmd = "") {
                  "[--crash-at-seq N]\n"
                  "                 [--crash-at-barrier N] "
                  "[--crash-after-flush]\n"
-                 "                 [--cache-policy lru|cost] [--threads N]\n"
+                 "                 [--cache-policy lru|cost]\n"
                  "      execute the workload and print per-stage metrics;\n"
-                 "      --threads N parallelizes the data plane (0 = all\n"
-                 "      cores, results bit-identical at any N);\n"
                  "      --adapt re-plans pending stages in flight;\n"
                  "      --cache-policy cost prices evictions by recomputation\n"
                  "      cost x reuse instead of LRU (DESIGN.md §17);\n"
@@ -157,7 +154,7 @@ void print_usage(std::FILE* out, const std::string& cmd = "") {
                  "[--max-concurrent K]\n"
                  "                   [--event-log FILE] [--tiny] [--adapt]\n"
                  "                   [--checkpoint DIR] [--sync]\n"
-                 "                   [--cache-policy lru|cost] [--threads N]\n"
+                 "                   [--cache-policy lru|cost]\n"
                  "      multi-tenant demo over one shared engine; with\n"
                  "      --cache-policy cost, pool weights become per-tenant\n"
                  "      cache-share floors\n");
@@ -274,11 +271,11 @@ void validate_flags(const Args& args) {
        {"workload", "conf", "scale", "speculation", "aqe", "mem-scale",
         "event-log", "tiny", "adapt", "db", "adapt-epsilon", "adapt-min-obs",
         "adapt-max-replans", "checkpoint", "sync", "crash-at-seq",
-        "crash-at-barrier", "crash-after-flush", "cache-policy", "threads"}},
+        "crash-at-barrier", "crash-after-flush", "cache-policy"}},
       {"inspect", {"db"}},
       {"serve",
        {"jobs", "mode", "max-concurrent", "event-log", "tiny", "adapt",
-        "checkpoint", "sync", "cache-policy", "threads"}},
+        "checkpoint", "sync", "cache-policy"}},
       {"resume", {"sync"}},
       {"chaos", {"seed", "runs", "tiny", "json"}},
       {"history", {"stragglers"}},
@@ -562,16 +559,6 @@ int cmd_run(const Args& args) {
   }
   const double scale = args.get_double("scale", 1.0);
   engine::EngineOptions opts = bench::vanilla_options();
-  // --threads N: data-plane worker threads (1 = sequential; results are
-  // bit-identical at any value, DESIGN.md §18).
-  opts.data_plane_threads = args.get_size("threads", 1);
-  if (opts.data_plane_threads != 1) {
-    std::printf("data plane running on %zu threads\n",
-                opts.data_plane_threads == 0
-                    ? static_cast<std::size_t>(
-                          std::thread::hardware_concurrency())
-                    : opts.data_plane_threads);
-  }
   if (args.has("speculation")) opts.speculation.enabled = true;
   if (args.has("aqe")) {
     opts.adaptive.enabled = true;
@@ -751,14 +738,6 @@ int cmd_serve(const Args& args) {
   const bool tiny = args.has("tiny");
 
   engine::EngineOptions eopts = bench::vanilla_options();
-  eopts.data_plane_threads = args.get_size("threads", 1);
-  if (eopts.data_plane_threads != 1) {
-    std::printf("data plane running on %zu threads\n",
-                eopts.data_plane_threads == 0
-                    ? static_cast<std::size_t>(
-                          std::thread::hardware_concurrency())
-                    : eopts.data_plane_threads);
-  }
   engine::Engine eng(bench::bench_cluster(), eopts);
   obs::EventLog event_log;
   if (args.has("event-log")) {
