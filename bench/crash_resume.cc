@@ -259,7 +259,7 @@ int main(int argc, char** argv) {
     oom.stage_id = 1;
     oom.attempts = 1;
     oom.task = 0;
-    oom_opts.oom_schedule.ooms.push_back(oom);
+    oom_opts.faults.ooms.push_back(oom);
     // Keep the OOM retry at the same partition count so the faulty timeline
     // is itself deterministic (same guard as bench/chaos.cc).
     oom_opts.memory.oom_repartition_after = 100;

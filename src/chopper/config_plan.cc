@@ -1,8 +1,27 @@
 #include "chopper/config_plan.h"
 
+#include <charconv>
 #include <stdexcept>
 
 namespace chopper::core {
+
+namespace {
+
+/// A count value (partitions, p_min): a whole non-negative decimal integer.
+/// std::stoull would wrap "-3" to 2^64-3 and accept "12abc".
+std::size_t parse_count(const std::string& key, const std::string& value) {
+  std::size_t out = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (value.empty() || ec != std::errc{} || ptr != end) {
+    throw std::runtime_error("plan config: " + key +
+                             " must be a non-negative integer, got '" + value +
+                             "'");
+  }
+  return out;
+}
+
+}  // namespace
 
 common::KvConfig plan_to_config(const std::vector<PlannedStage>& plan) {
   common::KvConfig cfg;
@@ -33,11 +52,11 @@ ParsedPlan parse_plan_config(const common::KvConfig& config) {
       out.schemes[sig].kind = value == "range" ? engine::PartitionerKind::kRange
                                                : engine::PartitionerKind::kHash;
     } else if (field == "partitions") {
-      out.schemes[sig].num_partitions = std::stoull(value);
+      out.schemes[sig].num_partitions = parse_count(key, value);
     } else if (field == "repartition") {
       out.insert_repartition[sig] = value == "1";
     } else if (field == "p_min") {
-      out.p_min[sig] = std::stoull(value);
+      out.p_min[sig] = parse_count(key, value);
     } else {
       throw std::runtime_error("plan config: unknown field: " + key);
     }

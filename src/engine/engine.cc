@@ -67,9 +67,8 @@ Engine::~Engine() = default;
 
 void Engine::reset_failure_state() {
   node_alive_.assign(cluster_.num_nodes(), 1);
-  failure_state_.assign(options_.failure_schedule.failures.size(),
-                        FailureState{});
-  corruption_fired_.assign(options_.corruption_schedule.corruptions.size(), 0);
+  failure_state_.assign(options_.faults.node_failures.size(), FailureState{});
+  corruption_fired_.assign(options_.faults.corruptions.size(), 0);
 }
 
 std::size_t Engine::alive_node_count() const noexcept {

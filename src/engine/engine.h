@@ -54,17 +54,6 @@ struct AdaptiveCoalescing {
   std::size_t max_partitions = 10'000;
 };
 
-/// Deterministic fault injection for the simulated cluster. Failures never
-/// corrupt results (the real computation always completes); they model the
-/// *time* cost of Spark's task retries: each failed attempt burns
-/// `failed_attempt_fraction` of the task's duration before the retry.
-struct FaultInjection {
-  double task_failure_prob = 0.0;  ///< per-attempt failure probability
-  std::size_t max_attempts = 4;    ///< attempts before the job aborts
-  double failed_attempt_fraction = 0.6;
-  std::uint64_t seed = 0x5eed;
-};
-
 /// Speculative execution (spark.speculation): a task whose duration exceeds
 /// `multiplier` x the stage median is assumed to get a backup copy; its
 /// effective duration becomes min(original, median * multiplier + launch).
@@ -119,18 +108,12 @@ struct EngineOptions {
   /// routes all reduction to the reduce-side merge.
   bool map_side_combine = true;
   AdaptiveCoalescing adaptive;
-  FaultInjection faults;
-  /// Whole-node failures with real data loss + lineage recovery (fault.h).
-  FailureSchedule failure_schedule;
+  /// Every deterministic fault injection: task retries, node failures, task
+  /// OOMs, flaky fetches, corruptions and the stage-retry bound (fault.h).
+  FaultPlan faults;
   /// Enforced memory budgets: eviction, spill-to-disk, OOM (DESIGN.md §11).
   MemoryLimits memory;
-  /// Deterministic task-OOM injection (fault.h), orthogonal to `memory`.
-  OomSchedule oom_schedule;
-  /// Transient shuffle-fetch flakiness with backoff retry (DESIGN.md §14).
-  FlakySchedule flaky_schedule;
-  /// Deterministic silent corruption; arms block integrity checksums.
-  CorruptionSchedule corruption_schedule;
-  /// Compute/verify block checksums even without a corruption schedule
+  /// Compute/verify block checksums even without injected corruptions
   /// (costs a hash pass per published row; detection-only, nothing to heal).
   bool integrity_checksums = false;
   /// Node health scoreboard / placement-exclusion policy (fault.h).
@@ -138,48 +121,11 @@ struct EngineOptions {
   Speculation speculation;
 };
 
-struct JobResult {
-  std::size_t job_id = 0;
-  std::string name;
-  double sim_time_s = 0.0;
-  double wall_time_s = 0.0;
-  std::uint64_t count = 0;           ///< for count actions
-  std::vector<Record> records;       ///< for collect actions
-  std::vector<std::size_t> stage_ids;
-
-  // Fault-tolerance telemetry (mirrors the JobMetrics row).
-  std::size_t stage_attempts = 0;     ///< total stage executions (>= #stages)
-  std::size_t recomputed_tasks = 0;   ///< tasks replayed from lineage
-  std::uint64_t lost_bytes = 0;       ///< data destroyed by node failures
-  std::uint64_t recomputed_bytes = 0; ///< bytes regenerated by replay
-  double recovery_time_s = 0.0;       ///< sim seconds spent recovering
-
-  // Memory telemetry (mirrors the JobMetrics row; modeled bytes).
-  std::size_t oom_count = 0;          ///< stage attempts killed by OOM
-  std::uint64_t evicted_bytes = 0;    ///< cached bytes LRU-evicted
-  std::uint64_t spilled_bytes = 0;    ///< bytes pushed to the disk tier
-  std::uint64_t peak_resident_bytes = 0;  ///< max per-node resident estimate
-
-  // Transient-fault telemetry (mirrors the JobMetrics row; DESIGN.md §14).
-  std::size_t fetch_retries = 0;      ///< flaky fetches retried in place
-  std::uint64_t refetched_bytes = 0;  ///< bytes re-transferred by retries
-  std::size_t checksum_failures = 0;  ///< corrupted pieces detected + healed
-  std::size_t node_exclusions = 0;    ///< health exclusions fired
-
-  // Checkpoint-resume telemetry (mirrors the JobMetrics row; DESIGN.md §16).
-  // Provenance, not results — identity digests exclude these, like
-  // wall_time_s.
-  std::size_t resumed_stages = 0;     ///< stages adopted from the WAL
-  std::uint64_t replayed_events = 0;  ///< WAL events decoded during recovery
-  std::uint64_t restored_bytes = 0;   ///< block-file payload bytes restored
-  double recovery_wall_s = 0.0;       ///< host seconds spent recovering
-
-  // Cache telemetry (mirrors the JobMetrics row; DESIGN.md §17).
-  std::size_t cache_hits = 0;         ///< cached partitions read resident
-  std::size_t cache_misses = 0;       ///< cached partitions healed before read
-  std::uint64_t recompute_saved_bytes = 0;  ///< bytes served from residency
-  std::size_t evictions_lru = 0;      ///< evictions chosen by LRU order
-  std::size_t evictions_cost = 0;     ///< evictions chosen by planner priority
+/// A finished job: its JobMetrics row (the telemetry the metrics registry
+/// records for it) plus the action's output.
+struct JobResult : JobMetrics {
+  std::uint64_t count = 0;      ///< for count actions
+  std::vector<Record> records;  ///< for collect actions
 };
 
 /// A job aborted (injected-fault retry budget exhausted, stage-attempt bound
@@ -192,8 +138,8 @@ class JobAbortedError : public std::runtime_error {
 };
 
 /// A stage exhausted its attempt budget with every attempt killed by an
-/// out-of-memory task (enforced MemoryLimits ceiling or injected
-/// OomSchedule) even after adaptive repartition. Derives from
+/// out-of-memory task (enforced MemoryLimits ceiling or an injected
+/// FaultPlan::ooms entry) even after adaptive repartition. Derives from
 /// JobAbortedError so every existing abort/cleanup path (shuffle release,
 /// failed JobMetrics row, JobServer error propagation) applies unchanged.
 class TaskOomError : public JobAbortedError {
@@ -263,8 +209,8 @@ class Engine {
 
   /// Service entry point: run a job under an external control block (virtual
   /// clock, slot arbiter, cancellation). Multiple run_controlled jobs may be
-  /// in flight concurrently on different threads; they must not use a
-  /// failure schedule (node-death state is engine-global). With a null
+  /// in flight concurrently on different threads; they must not use an
+  /// engine-global fault plan (FaultPlan::engine_global). With a null
   /// control this is exactly count()/collect().
   JobResult run_controlled(const DatasetPtr& ds, bool collect_records,
                            std::string job_name, const JobControl* control);
@@ -294,7 +240,7 @@ class Engine {
   /// state) for the current run; cleared by reset_metrics().
   const NodeHealth& node_health() const noexcept { return health_; }
 
-  /// Is node n currently alive (failure schedule may have killed it)?
+  /// Is node n currently alive (an injected node failure may have killed it)?
   bool node_alive(std::size_t n) const { return node_alive_.at(n) != 0; }
   std::size_t alive_node_count() const noexcept;
 
@@ -360,7 +306,7 @@ class Engine {
   JobResult run_job(const DatasetPtr& root, bool collect_records,
                     std::string job_name, const JobControl* control = nullptr);
 
-  /// Per-failure runtime state for the deterministic failure schedule.
+  /// Per-failure runtime state for FaultPlan::node_failures.
   struct FailureState {
     bool fired = false;
     bool rejoined = false;
@@ -386,7 +332,7 @@ class Engine {
   std::mutex plan_mu_;
   std::vector<char> node_alive_;
   std::vector<FailureState> failure_state_;
-  /// corruption_fired_[i]: CorruptionSchedule entry i already flipped its
+  /// corruption_fired_[i]: FaultPlan::corruptions entry i already flipped its
   /// byte this run (injections fire once, like node failures).
   std::vector<char> corruption_fired_;
   NodeHealth health_;

@@ -1,24 +1,25 @@
-// Fault model types shared by the engine layers.
+// The engine's fault-injection model: one FaultPlan (EngineOptions::faults).
 //
-// The fault taxonomy has three tiers (see DESIGN.md §9 and §14):
-//  * fail-stop — FailureSchedule (here): whole-node failures that actually
-//    destroy the node's shuffle map outputs and cached partitions. The
-//    scheduler detects the loss at the next stage barrier (a fetch failure),
-//    replays the producer lineage for exactly the lost partitions on
-//    surviving nodes, and prices the recomputation into the simulated
-//    makespan — Spark's lineage-based recovery. FaultInjection (engine.h) is
-//    the degenerate duration-only cousin: failures never lose data, they
-//    only burn simulated time.
-//  * transient — FlakySchedule (here): shuffle fetches fail per
-//    (node, stage, attempt) and are retried in place with deterministic
-//    exponential backoff; only after `max_fetch_attempts` does the failure
-//    escalate to a stage-level fetch-failure retry.
-//  * corruption — CorruptionSchedule (here): stored bytes flip silently;
-//    block checksums detect the damage at the next read barrier and lineage
-//    heal recomputes exactly the poisoned pieces.
-// NodeHealthPolicy configures the scoreboard that turns any of these
-// failures into placement exclusion with backoff re-admission (Spark's
-// excludeOnFailure); see engine/health.h.
+// A plan lists typed, deterministic injections (DESIGN.md §9 and §14):
+//  * task retries — duration-only: a failed task attempt burns a fraction of
+//    its duration before the retry; results are never touched.
+//  * node failures — fail-stop: the node's shuffle map outputs and cached
+//    partitions are destroyed; the scheduler notices at the next stage
+//    barrier (or mid-window when the stage depends on the node), replays
+//    the producer lineage for exactly the lost pieces on surviving nodes and
+//    prices the recomputation into the simulated makespan.
+//  * task OOMs — a stage's leading attempts die with an out-of-memory task.
+//  * flaky fetches — transient: shuffle fetches fail per (node, stage,
+//    attempt) and are retried in place with exponential backoff; only after
+//    `max_fetch_attempts` does the failure escalate to a stage retry.
+//  * corruptions — stored bytes flip silently; block checksums detect the
+//    damage at the next read barrier and lineage heal recomputes exactly the
+//    poisoned pieces.
+// Every stage retry (OOM, fetch timeout, node loss) runs through one path in
+// the scheduler, bounded by `max_stage_attempts`. NodeHealthPolicy
+// configures the scoreboard that turns any of these failures into placement
+// exclusion with backoff re-admission (Spark's excludeOnFailure); see
+// engine/health.h.
 #pragma once
 
 #include <cstddef>
@@ -55,85 +56,16 @@ struct NodeFailure {
   double rejoin_after_s = -1.0;
 };
 
-/// Deterministic node-failure schedule. Non-empty schedules switch the
-/// engine into fault-tolerant execution: shuffle reads copy instead of
-/// consume and map outputs are retained until job end so lineage replay has
-/// surviving data to work from.
-struct FailureSchedule {
-  std::vector<NodeFailure> failures;
-  /// Bound on executions of one stage (initial attempt + fetch-failure
-  /// retries) before the job aborts — Spark's spark.stage.maxConsecutiveAttempts.
-  std::size_t max_stage_attempts = 4;
-
-  bool enabled() const noexcept { return !failures.empty(); }
-};
-
 /// One injected task OOM: the stage with global id `stage_id` fails its
 /// first `attempts` executions with a TaskOomError attributed to task
 /// `task` (clamped to the stage's partition count). Injection is independent
-/// of EngineOptions::MemoryLimits — it deterministically exercises the
+/// of EngineOptions::memory — it deterministically exercises the
 /// OOM-retry / adaptive-repartition path without having to engineer real
 /// memory pressure.
 struct OomInjection {
   std::size_t stage_id = 0;  ///< global stage id (StageMetrics::stage_id)
   std::size_t attempts = 1;  ///< number of leading attempts that OOM
   std::size_t task = 0;      ///< victim task index (clamped)
-};
-
-/// Deterministic OOM fault injector, sibling of FailureSchedule. A non-empty
-/// schedule (like an enforced memory budget) switches the engine into
-/// retained-shuffle execution so stage attempts can be retried.
-struct OomSchedule {
-  std::vector<OomInjection> ooms;
-
-  bool enabled() const noexcept { return !ooms.empty(); }
-};
-
-/// Transient shuffle-fetch flakiness. Whether the i-th fetch attempt of a
-/// (stage attempt, reduce task, source node) segment fails is drawn from a
-/// PRNG seeded by hashing exactly that tuple, so a run is reproducible
-/// bit-for-bit from (seed, schedule) alone and a retried stage attempt draws
-/// a fresh, independent failure sequence. Each failed fetch burns
-/// `timeout_s` plus an exponential backoff of simulated time, then re-pays
-/// the segment transfer (the re-transferred bytes are surfaced as
-/// `refetched_bytes`, never double-counted into shuffle-read totals). When
-/// one segment fails `max_fetch_attempts` times in a row, the stage attempt
-/// is abandoned as a fetch failure: the source node's map outputs are
-/// deregistered (Spark removes a fetch-failed executor's map statuses) and
-/// the existing stage-retry path heals them via lineage replay on healthier
-/// nodes. Enabling the schedule switches the engine into retained-shuffle
-/// execution like the other retry-capable fault models.
-struct FlakySchedule {
-  /// Per-fetch-attempt failure probability for remote segments served by a
-  /// flaky node. 0 disables the schedule.
-  double fetch_failure_prob = 0.0;
-  std::uint64_t seed = 0xf1a4;
-  /// Consecutive failed fetches of one segment before the stage attempt is
-  /// abandoned (spark.shuffle.io.maxRetries).
-  std::size_t max_fetch_attempts = 3;
-  /// Backoff before retry i (1-based): min(base * mult^(i-1), max) simulated
-  /// seconds (spark.shuffle.io.retryWait, exponentialized).
-  double backoff_base_s = 0.05;
-  double backoff_mult = 2.0;
-  double backoff_max_s = 2.0;
-  /// Simulated time a failed fetch burns before it is declared dead.
-  double timeout_s = 0.1;
-  /// Restrict flakiness to these source nodes (empty: every node is flaky).
-  std::vector<std::size_t> nodes;
-
-  bool enabled() const noexcept { return fetch_failure_prob > 0.0; }
-  bool node_flaky(std::size_t n) const noexcept {
-    if (nodes.empty()) return true;
-    for (const std::size_t x : nodes) {
-      if (x == n) return true;
-    }
-    return false;
-  }
-  double backoff_s(std::size_t retry) const noexcept {  // retry is 1-based
-    double b = backoff_base_s;
-    for (std::size_t i = 1; i < retry; ++i) b *= backoff_mult;
-    return b < backoff_max_s ? b : backoff_max_s;
-  }
 };
 
 /// One deterministic silent-corruption injection: flip one byte of stored
@@ -156,14 +88,86 @@ struct CorruptionInjection {
   std::size_t byte_offset = 0;
 };
 
-/// Deterministic corruption injector. A non-empty schedule arms block
-/// integrity checksums on shuffle map outputs and cached partitions and
-/// switches the engine into retained-shuffle execution (detection triggers
-/// the same lineage heal as a node failure, scoped to the poisoned pieces).
-struct CorruptionSchedule {
+/// Every deterministic fault the engine can inject, in one plan. Empty lists
+/// and zero probabilities inject nothing: a default plan is a fault-free run.
+struct FaultPlan {
+  // -- task retries (duration-only) -----------------------------------------
+  /// Per-attempt task failure probability. A failed attempt burns
+  /// `failed_attempt_fraction` of the task's duration before the retry.
+  double task_failure_prob = 0.0;
+  /// Attempts of one task before the job aborts.
+  std::size_t max_task_attempts = 4;
+  double failed_attempt_fraction = 0.6;
+  std::uint64_t task_failure_seed = 0x5eed;
+
+  // -- injections that fail a stage attempt ---------------------------------
+  /// Scheduled node failures with real data loss and lineage recovery.
+  std::vector<NodeFailure> node_failures;
+  /// Injected task OOMs, orthogonal to EngineOptions::memory.
+  std::vector<OomInjection> ooms;
+  /// Silent corruptions. A non-empty list arms block integrity checksums on
+  /// shuffle map outputs and cached partitions; detection triggers the same
+  /// lineage heal as a node failure, scoped to the poisoned pieces.
   std::vector<CorruptionInjection> corruptions;
 
-  bool enabled() const noexcept { return !corruptions.empty(); }
+  // -- transient fetch flakiness --------------------------------------------
+  // Whether the i-th fetch attempt of a (stage attempt, reduce task, source
+  // node) segment fails is drawn from a PRNG seeded by hashing exactly that
+  // tuple, so a run is reproducible bit-for-bit from the plan alone and a
+  // retried stage attempt draws a fresh, independent failure sequence. Each
+  // failed fetch burns `fetch_timeout_s` plus an exponential backoff of
+  // simulated time, then re-pays the segment transfer (surfaced as
+  // `refetched_bytes`, never double-counted into shuffle-read totals). When
+  // one segment fails `max_fetch_attempts` times in a row the stage attempt
+  // is abandoned as a fetch failure: the source node's map outputs are
+  // deregistered (Spark removes a fetch-failed executor's map statuses) and
+  // the stage retry heals them via lineage replay on healthier nodes.
+  /// Per-fetch-attempt failure probability for remote segments served by a
+  /// flaky node. 0 disables flakiness.
+  double fetch_failure_prob = 0.0;
+  std::uint64_t fetch_seed = 0xf1a4;
+  /// Consecutive failed fetches of one segment before the stage attempt is
+  /// abandoned (spark.shuffle.io.maxRetries).
+  std::size_t max_fetch_attempts = 3;
+  /// Backoff before retry i (1-based): min(base * mult^(i-1), max) simulated
+  /// seconds (spark.shuffle.io.retryWait, exponentialized).
+  double backoff_base_s = 0.05;
+  double backoff_mult = 2.0;
+  double backoff_max_s = 2.0;
+  /// Simulated time a failed fetch burns before it is declared dead.
+  double fetch_timeout_s = 0.1;
+  /// Restrict flakiness to these source nodes (empty: every node is flaky).
+  std::vector<std::size_t> flaky_nodes;
+
+  /// Bound on executions of one stage (initial attempt + retries after an
+  /// OOM, a fetch timeout or a node loss) before the job aborts — Spark's
+  /// spark.stage.maxConsecutiveAttempts.
+  std::size_t max_stage_attempts = 4;
+
+  /// Does the plan fire engine-global state (node deaths, fetch flakiness,
+  /// one-shot corruptions) that concurrent service jobs would share?
+  bool engine_global() const noexcept {
+    return !node_failures.empty() || !corruptions.empty() ||
+           fetch_failure_prob > 0.0;
+  }
+  /// Can the plan fail a stage attempt? Such plans switch the engine into
+  /// retained-shuffle execution: shuffle reads copy instead of consume and
+  /// map outputs live until job end, so a retry has data to replay from.
+  bool retries_stages() const noexcept {
+    return engine_global() || !ooms.empty();
+  }
+  bool node_flaky(std::size_t n) const noexcept {
+    if (flaky_nodes.empty()) return true;
+    for (const std::size_t x : flaky_nodes) {
+      if (x == n) return true;
+    }
+    return false;
+  }
+  double backoff_s(std::size_t retry) const noexcept {  // retry is 1-based
+    double b = backoff_base_s;
+    for (std::size_t i = 1; i < retry; ++i) b *= backoff_mult;
+    return b < backoff_max_s ? b : backoff_max_s;
+  }
 };
 
 /// Node health exclusion policy (Spark's excludeOnFailure): a node that

@@ -7,10 +7,11 @@
 // Adoption semantics (scheduler.cc, JobRunner::adopt_restored): a job whose
 // ledger entry carries a *clean* committed prefix — attempt_count 1
 // everywhere, no OOM / checksum / exclusion / recovery activity, and an
-// engine running without fault or memory schedules — re-registers each
-// restored stage's shuffle outputs, cached blocks and result partitions,
-// re-emits its event history, replays its metrics rows, fast-forwards the
-// virtual clock, and continues execution at the first uncommitted stage.
+// engine running without a stage-retrying fault plan or memory budgets —
+// re-registers each restored stage's shuffle outputs, cached blocks and
+// result partitions, re-emits its event history, replays its metrics rows,
+// fast-forwards the virtual clock, and continues execution at the first
+// uncommitted stage.
 // Anything dirtier sets `full_rerun`: the job re-executes from scratch,
 // which is bit-identical to the original run by the engine's determinism
 // contract (bench/chaos_fuzz), so resume never trades correctness for

@@ -15,19 +15,20 @@
 //            the stage's simulated makespan, task distribution and the
 //            resource-timeline samples.
 //
-// Fault tolerance (DESIGN.md §9): when EngineOptions::failure_schedule is
-// non-empty the JobRunner executes each stage as a bounded sequence of
-// *attempts*. Node failures fire deterministically at stage barriers (or
-// mid-window when their sim-time trigger falls inside a running stage that
-// depends on the dying node), destroying that node's shuffle map outputs
-// and cached partitions. Before each attempt the runner heals the stage's
-// inputs by replaying lineage for exactly the lost pieces: lost shuffle
-// rows are recomputed by re-running the producer's pipeline tasks on
-// surviving nodes, lost cached blocks are regenerated from their narrow
-// chain (or a full sub-job rebuild for wide lineage). Shuffle reads copy
-// instead of consume in this mode and map outputs are retained until job
-// end so replay always has data to read. The non-fault-tolerant path is
-// byte-for-byte the classic one.
+// Fault tolerance (DESIGN.md §9): when the engine's FaultPlan can fail a
+// stage attempt (or memory budgets are enforced) the JobRunner executes each
+// stage as a bounded sequence of *attempts*; an OOM, a fetch timeout and a
+// node loss all leave through the same retry path. Node failures fire
+// deterministically at stage barriers (or mid-window when their sim-time
+// trigger falls inside a running stage that depends on the dying node),
+// destroying that node's shuffle map outputs and cached partitions. Before
+// each attempt the runner heals the stage's inputs by replaying lineage for
+// exactly the lost pieces: lost shuffle rows are recomputed by re-running
+// the producer's pipeline tasks on surviving nodes, lost cached blocks are
+// regenerated from their narrow chain (or a full sub-job rebuild for wide
+// lineage). Shuffle reads copy instead of consume in this mode and map
+// outputs are retained until job end so replay always has data to read. The
+// non-fault-tolerant path is byte-for-byte the classic one.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -69,7 +70,7 @@ struct TaskWork {
   std::uint64_t shuffle_read_local = 0;
   /// Bytes read back from the disk tier (spilled shuffle rows).
   std::uint64_t disk_read_bytes = 0;
-  /// Transient fetch failures retried in place (FlakySchedule) and the bytes
+  /// Transient fetch failures retried in place (flaky fetches) and the bytes
   /// those retries re-transferred. Kept separate from shuffle_read_remote so
   /// logical shuffle volume is counted once regardless of flakiness.
   std::size_t fetch_retries = 0;
@@ -289,13 +290,12 @@ class JobRunner {
       : eng_(eng),
         ctx_(ctx),
         cm_(eng.options_.cost_model),
-        ft_(eng.options_.failure_schedule.enabled()),
+        faults_(eng.options_.faults),
         mem_(eng.options_.memory.enforce),
-        oom_inj_(eng.options_.oom_schedule.enabled()),
-        flaky_(eng.options_.flaky_schedule.enabled()),
-        corrupt_(eng.options_.corruption_schedule.enabled()),
-        integrity_(corrupt_ || eng.options_.integrity_checksums),
-        retain_(ft_ || mem_ || oom_inj_ || flaky_ || corrupt_) {}
+        flaky_(faults_.fetch_failure_prob > 0.0),
+        integrity_(!faults_.corruptions.empty() ||
+                   eng.options_.integrity_checksums),
+        retain_(mem_ || faults_.retries_stages()) {}
 
   JobResult run();
 
@@ -308,6 +308,27 @@ class JobRunner {
   struct PendingShuffle {
     ShuffleOutput so;
     std::size_t consumer = 0;
+  };
+
+  static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
+  /// The failure that killed a stage attempt. Precedence when several hit
+  /// one attempt: an OOM, then a fetch timeout, then a node loss.
+  struct AttemptFailure {
+    enum class Kind {
+      kNone,
+      kOom,           ///< a task's working set ran out of memory
+      kFetchTimeout,  ///< a fetch segment exhausted its transient retries
+      kNodeLoss,      ///< a node the stage depends on died mid-window
+    };
+    Kind kind = Kind::kNone;
+    /// Victim task (kOom) / the task that could not fetch (kFetchTimeout).
+    std::size_t task = kNpos;
+    /// The victim task's node (kOom) / the unreachable source (kFetchTimeout).
+    std::size_t node = kNpos;
+    /// Simulated time at which the attempt died, and the attempt time wasted.
+    double died_at = 0.0;
+    double wasted = 0.0;
   };
 
   /// Everything one stage attempt produced, separated from the engine state
@@ -333,17 +354,10 @@ class JobRunner {
     BlockManager::Pin cache_pin;
     /// Per-task working-set spill (modeled bytes past the spill threshold).
     std::vector<double> spill_modeled;
-    /// Task that OOMed this attempt (kNpos: none). The attempt must then be
-    /// discarded and retried — possibly at a grown partition count.
-    std::size_t oom_task = kNpos;
-    /// Task whose transient fetch retry budget ran out this attempt (kNpos:
-    /// none) and the source node it could not fetch from. The attempt is
-    /// abandoned at the task's simulated end; run_stage deregisters the
-    /// source's map outputs and escalates to a stage retry.
-    std::size_t flaky_task = kNpos;
-    std::size_t flaky_src = kNpos;
+    /// Why the attempt failed, if it did; run_stage then discards it and
+    /// retries (for an OOM possibly at a grown partition count).
+    AttemptFailure failure;
   };
-  static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
   // Virtual-clock plumbing: a controlled (service) job reads and advances
   // its own clock; a classic job reads and advances the engine's.
@@ -392,7 +406,8 @@ class JobRunner {
 
   // Memory machinery (DESIGN.md §11).
   /// Scan a priced attempt for the first task to die of OOM (enforced
-  /// ceiling or injected schedule); records it in a.oom_task.
+  /// ceiling or injected); records it as a.failure, overriding a fetch
+  /// timeout.
   void detect_oom(std::size_t s, const StageMetrics& sm, Attempt& a) const;
   /// Adaptive repartition-on-OOM: retry stage s with P' = ceil(P * growth).
   /// Shuffle-input stages re-bucket their retained parent map outputs under
@@ -405,7 +420,9 @@ class JobRunner {
   // Failure machinery.
   void process_barrier_failures(std::size_t stage_global_id);
   void fire_failure(std::size_t i, double at_time);
-  bool scan_window_failures(std::size_t s, StageMetrics& sm, double makespan);
+  /// Fire node failures due inside the attempt's simulated window; records
+  /// a kNodeLoss in a.failure when one hits a node the stage depends on.
+  void scan_window_failures(std::size_t s, StageMetrics& sm, Attempt& a);
   bool stage_depends_on_node(std::size_t s, std::size_t node) const;
 
   // Node health scoreboard (DESIGN.md §14). Classic single-job mode only:
@@ -460,15 +477,13 @@ class JobRunner {
   Engine& eng_;
   Engine::JobContext& ctx_;
   const CostModel& cm_;
-  const bool ft_;       ///< failure schedule active
-  const bool mem_;      ///< memory budgets enforced
-  const bool oom_inj_;  ///< OOM injection schedule active
-  const bool flaky_;    ///< transient fetch-failure injection active
-  const bool corrupt_;  ///< corruption schedule armed
+  const FaultPlan& faults_;
+  const bool mem_;        ///< memory budgets enforced
+  const bool flaky_;      ///< transient fetch-failure injection active
   const bool integrity_;  ///< record + verify block checksums
   /// Retained-data mode: shuffle reads copy instead of consume and map
   /// outputs live until job end. Any configuration that can retry a stage
-  /// attempt (node failures, enforced memory, OOM injection) needs it.
+  /// attempt (enforced memory, a stage-retrying fault plan) needs it.
   const bool retain_;
   JobMetrics job_metrics_;
 };
@@ -509,36 +524,9 @@ JobResult JobRunner::run() {
   // remove calls below are no-ops there.)
   release_job_shuffles();
 
-  ctx_.result.job_id = ctx_.job_id;
-  ctx_.result.name = ctx_.name;
-  ctx_.result.sim_time_s = now() - job_sim_start;
-  ctx_.result.wall_time_s = seconds_since(job_t0);
-  ctx_.result.stage_ids = job_metrics_.stage_ids;
-  ctx_.result.stage_attempts = job_metrics_.stage_attempts;
-  ctx_.result.recomputed_tasks = job_metrics_.recomputed_tasks;
-  ctx_.result.lost_bytes = job_metrics_.lost_bytes;
-  ctx_.result.recomputed_bytes = job_metrics_.recomputed_bytes;
-  ctx_.result.recovery_time_s = job_metrics_.recovery_time_s;
-  ctx_.result.fetch_retries = job_metrics_.fetch_retries;
-  ctx_.result.refetched_bytes = job_metrics_.refetched_bytes;
-  ctx_.result.checksum_failures = job_metrics_.checksum_failures;
-  ctx_.result.node_exclusions = job_metrics_.node_exclusions;
-  ctx_.result.oom_count = job_metrics_.oom_count;
-  ctx_.result.evicted_bytes = job_metrics_.evicted_bytes;
-  ctx_.result.spilled_bytes = job_metrics_.spilled_bytes;
-  ctx_.result.peak_resident_bytes = job_metrics_.peak_resident_bytes;
-  ctx_.result.resumed_stages = job_metrics_.resumed_stages;
-  ctx_.result.replayed_events = job_metrics_.replayed_events;
-  ctx_.result.restored_bytes = job_metrics_.restored_bytes;
-  ctx_.result.recovery_wall_s = job_metrics_.recovery_wall_s;
-  ctx_.result.cache_hits = job_metrics_.cache_hits;
-  ctx_.result.cache_misses = job_metrics_.cache_misses;
-  ctx_.result.recompute_saved_bytes = job_metrics_.recompute_saved_bytes;
-  ctx_.result.evictions_lru = job_metrics_.evictions_lru;
-  ctx_.result.evictions_cost = job_metrics_.evictions_cost;
-
-  job_metrics_.sim_time_s = ctx_.result.sim_time_s;
-  job_metrics_.wall_time_s = ctx_.result.wall_time_s;
+  job_metrics_.sim_time_s = now() - job_sim_start;
+  job_metrics_.wall_time_s = seconds_since(job_t0);
+  static_cast<JobMetrics&>(ctx_.result) = job_metrics_;
   if (tracing()) emit_job_finish(job_metrics_);
   eng_.metrics_.add_job(std::move(job_metrics_));
   return std::move(ctx_.result);
@@ -549,8 +537,8 @@ std::size_t JobRunner::adopt_restored() {
   // Classic single-job mode only: adoption rewinds engine-global state (the
   // sim clock, the stage-id counter) that concurrent service jobs share.
   if (ctx_.control != nullptr) return 0;
-  // Retained-data configurations (failure/memory/OOM/flaky/corruption
-  // schedules) can retry attempts; their committed rows are not guaranteed
+  // Retained-data configurations (enforced memory, or a fault plan that
+  // retries stages) can retry attempts; their committed rows are not guaranteed
   // to describe a clean first-attempt execution of engine-global effects.
   // Full deterministic re-execution is bit-identical anyway.
   if (retain_) return 0;
@@ -964,8 +952,8 @@ void JobRunner::run_stage(std::size_t s) {
     emit(std::move(e));
   }
 
-  const std::size_t max_attempts = std::max<std::size_t>(
-      1, eng_.options_.failure_schedule.max_stage_attempts);
+  const std::size_t max_attempts =
+      std::max<std::size_t>(1, faults_.max_stage_attempts);
 
   // Ledger totals at stage entry: the deltas at exit attribute evictions and
   // disk-tier spills (wherever in the engine they fired) to this stage.
@@ -979,7 +967,7 @@ void JobRunner::run_stage(std::size_t s) {
   for (std::size_t attempt = 1;; ++attempt) {
     sm.attempt_count = attempt;
     if (health_active()) sweep_health();
-    if (ft_) process_barrier_failures(sm.stage_id);
+    process_barrier_failures(sm.stage_id);
     // Cache telemetry (DESIGN.md §17): every cached-input partition resident
     // at attempt start is a hit — its bytes are recomputation the cache
     // saved. Partitions healed below count as misses (recover_cached_blocks).
@@ -1016,107 +1004,73 @@ void JobRunner::run_stage(std::size_t s) {
     if (retain_) recover_stage_inputs(s, sm);
     a = Attempt{};
     execute_attempt(s, sm, a);
-    if (a.oom_task != kNpos) {
-      // The attempt dies at the OOM task's simulated end; everything it ran
-      // until then is wasted cluster time.
-      const double wasted = a.ends[a.oom_task];
-      advance(wasted);
-      sm.recovery_time_s += wasted;
-      ++sm.oom_count;
-      sm.oomed_partition_counts.push_back(ctx_.rt[s].num_tasks);
-      eng_.mem_ledger_.add_oom(ctx_.rt[s].task_node[a.oom_task]);
-      record_strike(ctx_.rt[s].task_node[a.oom_task], HealthStrike::kTask, sm);
-      if (tracing()) {
-        obs::Event e;
-        e.kind = obs::EventKind::kStageRetry;
-        e.job = ctx_.job_id;
-        e.stage = sm.stage_id;
-        e.plan_index = s;
-        e.attempt = attempt;
-        e.task = a.oom_task;
-        e.node = ctx_.rt[s].task_node[a.oom_task];
-        e.num_partitions = ctx_.rt[s].num_tasks;
-        e.value = wasted;
-        e.flags |= obs::kFlagOom;
-        e.detail = "oom";
-        emit(std::move(e));
-      }
-      ++consecutive_oom;
-      if (attempt >= max_attempts) {
-        throw TaskOomError(
-            "stage " + plan.name + " exceeded " + std::to_string(max_attempts) +
-            " attempts: task working set out of memory at P=" +
-            std::to_string(ctx_.rt[s].num_tasks));
-      }
-      // Degraded-but-alive: after enough consecutive OOMs, stop retrying at
-      // the same partition count and grow it (smaller per-task footprint).
-      const std::size_t grow_after = std::max<std::size_t>(
-          1, eng_.options_.memory.oom_repartition_after);
-      if (consecutive_oom >= grow_after && grow_stage_partitions(s, sm)) {
-        consecutive_oom = 0;
-      }
-      continue;
+    if (a.failure.kind == AttemptFailure::Kind::kNone) {
+      scan_window_failures(s, sm, a);
     }
-    if (a.flaky_task != kNpos) {
-      // A fetch segment exhausted its retry budget: the attempt dies at the
-      // task's simulated end. Deregister the unreachable source's map
-      // outputs — Spark drops a fetch-failed executor's map statuses — so
-      // the next attempt heals them by lineage replay, re-homed by node_for
-      // away from the node if health exclusion has kicked in.
-      const double wasted = a.ends[a.flaky_task];
-      advance(wasted);
-      sm.recovery_time_s += wasted;
-      LossReport lr = eng_.shuffles_.invalidate_node(a.flaky_src);
-      job_metrics_.lost_bytes += lr.lost_bytes;
-      record_strike(a.flaky_src, HealthStrike::kFetch, sm);
-      if (tracing()) {
-        obs::Event e;
-        e.kind = obs::EventKind::kStageRetry;
-        e.job = ctx_.job_id;
-        e.stage = sm.stage_id;
-        e.plan_index = s;
-        e.attempt = attempt;
-        e.task = a.flaky_task;
-        e.node = a.flaky_src;
-        e.num_partitions = ctx_.rt[s].num_tasks;
-        e.value = wasted;
-        e.flags |= obs::kFlagFailed;
-        e.detail = "fetch-timeout";
-        emit(std::move(e));
-      }
-      if (attempt >= max_attempts) {
-        throw JobAbortedError("stage " + plan.name + " exceeded " +
-                              std::to_string(max_attempts) +
-                              " attempts after transient fetch failures");
-      }
+    const AttemptFailure& f = a.failure;
+    if (f.kind == AttemptFailure::Kind::kNone) break;
+
+    // The attempt died at f.died_at; everything it ran until then is wasted
+    // cluster time. Discard it and retry from the top (recovery heals the
+    // inputs the failure destroyed).
+    set_now(f.died_at);
+    sm.recovery_time_s += f.wasted;
+    const char* detail = "fetch-failure";
+    const char* cause = " attempts after node failures";
+    switch (f.kind) {
+      case AttemptFailure::Kind::kOom:
+        ++sm.oom_count;
+        sm.oomed_partition_counts.push_back(ctx_.rt[s].num_tasks);
+        eng_.mem_ledger_.add_oom(f.node);
+        record_strike(f.node, HealthStrike::kTask, sm);
+        detail = "oom";
+        cause = " attempts: task working set out of memory at P=";
+        break;
+      case AttemptFailure::Kind::kFetchTimeout:
+        // Deregister the unreachable source's map outputs — Spark drops a
+        // fetch-failed executor's map statuses — so the next attempt heals
+        // them by lineage replay, re-homed by node_for away from the node
+        // if health exclusion has kicked in.
+        job_metrics_.lost_bytes +=
+            eng_.shuffles_.invalidate_node(f.node).lost_bytes;
+        record_strike(f.node, HealthStrike::kFetch, sm);
+        detail = "fetch-timeout";
+        cause = " attempts after transient fetch failures";
+        break;
+      default:  // kNodeLoss: scan_window_failures fired the failure
+        break;
+    }
+    const bool oom = f.kind == AttemptFailure::Kind::kOom;
+    if (tracing()) {
+      obs::Event e;
+      e.kind = obs::EventKind::kStageRetry;
+      e.job = ctx_.job_id;
+      e.stage = sm.stage_id;
+      e.plan_index = s;
+      e.attempt = attempt;
+      e.task = f.task;
+      e.node = f.node;
+      e.num_partitions = ctx_.rt[s].num_tasks;
+      // A node loss reports its wasted time on the kFetchFailure event.
+      if (f.kind != AttemptFailure::Kind::kNodeLoss) e.value = f.wasted;
+      e.flags |= oom ? obs::kFlagOom : obs::kFlagFailed;
+      e.detail = detail;
+      emit(std::move(e));
+    }
+    if (attempt >= max_attempts) {
+      std::string what = "stage " + plan.name + " exceeded " +
+                         std::to_string(max_attempts) + cause;
+      if (!oom) throw JobAbortedError(what);
+      throw TaskOomError(what + std::to_string(ctx_.rt[s].num_tasks));
+    }
+    // Degraded-but-alive: after enough consecutive OOMs, stop retrying at
+    // the same partition count and grow it (smaller per-task footprint).
+    consecutive_oom = oom ? consecutive_oom + 1 : 0;
+    const std::size_t grow_after =
+        std::max<std::size_t>(1, eng_.options_.memory.oom_repartition_after);
+    if (oom && consecutive_oom >= grow_after && grow_stage_partitions(s, sm)) {
       consecutive_oom = 0;
-      continue;
     }
-    if (ft_ && scan_window_failures(s, sm, a.makespan)) {
-      // The attempt was cut down mid-window by a node this stage depends
-      // on; the wasted sim time is already accounted. Retry from the top
-      // (recovery will heal the inputs the failure just destroyed).
-      if (tracing()) {
-        obs::Event e;
-        e.kind = obs::EventKind::kStageRetry;
-        e.job = ctx_.job_id;
-        e.stage = sm.stage_id;
-        e.plan_index = s;
-        e.attempt = attempt;
-        e.num_partitions = ctx_.rt[s].num_tasks;
-        e.flags |= obs::kFlagFailed;
-        e.detail = "fetch-failure";
-        emit(std::move(e));
-      }
-      if (attempt >= max_attempts) {
-        throw JobAbortedError("stage " + plan.name + " exceeded " +
-                              std::to_string(max_attempts) +
-                              " attempts after node failures");
-      }
-      consecutive_oom = 0;
-      continue;
-    }
-    break;
   }
 
   // Service mode: before the stage's simulated window is charged, obtain an
@@ -1593,26 +1547,26 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
     // A segment that exhausts max_fetch_attempts escalates: the attempt is
     // abandoned and the source's map outputs deregistered (run_stage).
     if (flaky_ && !a.work[p].remote_fetch.empty()) {
-      const FlakySchedule& fl = eng_.options_.flaky_schedule;
       const double rescale = 1.0 / cm_.data_scale;
       double delay = 0.0;
       for (const auto& [src, bytes] : a.work[p].remote_fetch) {
-        if (!fl.node_flaky(src)) continue;
+        if (!faults_.node_flaky(src)) continue;
         common::Xoshiro256 rng(common::hash_combine(
-            common::hash_combine(common::hash_combine(fl.seed, sm.stage_id),
-                                 sm.attempt_count),
+            common::hash_combine(
+                common::hash_combine(faults_.fetch_seed, sm.stage_id),
+                sm.attempt_count),
             common::hash_combine(src, p + 1)));
         std::size_t fails = 0;
-        while (fails < fl.max_fetch_attempts &&
-               rng.next_double() < fl.fetch_failure_prob) {
+        while (fails < faults_.max_fetch_attempts &&
+               rng.next_double() < faults_.fetch_failure_prob) {
           ++fails;
         }
         if (fails == 0) continue;
         a.work[p].fetch_retries += fails;
         for (std::size_t i = 1; i <= fails; ++i) {
-          delay += fl.timeout_s + fl.backoff_s(i);
+          delay += faults_.fetch_timeout_s + faults_.backoff_s(i);
         }
-        if (fails >= fl.max_fetch_attempts) {
+        if (fails >= faults_.max_fetch_attempts) {
           if (esc_src[p] == kNpos) esc_src[p] = src;
         } else {
           const double bw =
@@ -1646,18 +1600,18 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
 
     // Deterministic fault injection: failed attempts burn a fraction of
     // the duration before Spark-style retry.
-    if (eng_.options_.faults.task_failure_prob > 0.0) {
+    if (faults_.task_failure_prob > 0.0) {
       common::Xoshiro256 frng(common::hash_combine(
-          common::hash_combine(eng_.options_.faults.seed, sm.stage_id), p + 1));
+          common::hash_combine(faults_.task_failure_seed, sm.stage_id), p + 1));
       double total = 0.0;
       std::size_t attempt = 1;
-      while (frng.next_double() < eng_.options_.faults.task_failure_prob) {
-        if (attempt >= eng_.options_.faults.max_attempts) {
+      while (frng.next_double() < faults_.task_failure_prob) {
+        if (attempt >= faults_.max_task_attempts) {
           throw JobAbortedError("task " + std::to_string(p) + " of stage " +
                                 plan.name +
                                 " exceeded max attempts (injected faults)");
         }
-        total += duration * eng_.options_.faults.failed_attempt_fraction;
+        total += duration * faults_.failed_attempt_fraction;
         ++attempt;
       }
       duration += total;
@@ -1706,13 +1660,20 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
       sm.fetch_retries += tw.fetch_retries;
       sm.refetched_bytes += tw.refetched_bytes;
     }
-    // The earliest-ending escalated task decides where the attempt dies.
+    // The earliest-ending escalated task decides where the attempt dies;
+    // run_stage deregisters the unreachable source's map outputs.
+    AttemptFailure& f = a.failure;
     for (std::size_t p = 0; p < rt.num_tasks; ++p) {
       if (esc_src[p] == kNpos) continue;
-      if (a.flaky_task == kNpos || a.ends[p] < a.ends[a.flaky_task]) {
-        a.flaky_task = p;
-        a.flaky_src = esc_src[p];
+      if (f.kind == AttemptFailure::Kind::kNone || a.ends[p] < a.ends[f.task]) {
+        f.kind = AttemptFailure::Kind::kFetchTimeout;
+        f.task = p;
+        f.node = esc_src[p];
       }
+    }
+    if (f.kind != AttemptFailure::Kind::kNone) {
+      f.wasted = a.ends[f.task];
+      f.died_at = now() + f.wasted;
     }
   }
 
@@ -1722,8 +1683,11 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
 void JobRunner::detect_oom(std::size_t s, const StageMetrics& sm,
                            Attempt& a) const {
   const auto& rt = ctx_.rt[s];
-  a.oom_task = kNpos;
   if (rt.num_tasks == 0) return;
+  std::size_t victim = kNpos;
+  const auto consider = [&](std::size_t p) {
+    if (victim == kNpos || a.ends[p] < a.ends[victim]) victim = p;
+  };
 
   if (mem_) {
     // Enforced hard ceiling: a task whose modeled working set exceeds
@@ -1738,23 +1702,23 @@ void JobRunner::detect_oom(std::size_t s, const StageMetrics& sm,
       const double resident =
           static_cast<double>(a.work[p].bytes_in + a.work[p].bytes_out) *
           rescale;
-      if (resident > ceiling &&
-          (a.oom_task == kNpos || a.ends[p] < a.ends[a.oom_task])) {
-        a.oom_task = p;
-      }
+      if (resident > ceiling) consider(p);
     }
   }
-  if (oom_inj_) {
-    for (const auto& inj : eng_.options_.oom_schedule.ooms) {
-      if (inj.stage_id != sm.stage_id || sm.attempt_count > inj.attempts) {
-        continue;
-      }
-      const std::size_t victim = std::min(inj.task, rt.num_tasks - 1);
-      if (a.oom_task == kNpos || a.ends[victim] < a.ends[a.oom_task]) {
-        a.oom_task = victim;
-      }
+  for (const auto& inj : faults_.ooms) {
+    if (inj.stage_id != sm.stage_id || sm.attempt_count > inj.attempts) {
+      continue;
     }
+    consider(std::min(inj.task, rt.num_tasks - 1));
   }
+  if (victim == kNpos) return;
+  // An OOM takes precedence over a fetch timeout in the same attempt.
+  AttemptFailure& f = a.failure;
+  f.kind = AttemptFailure::Kind::kOom;
+  f.task = victim;
+  f.node = rt.task_node[victim];
+  f.wasted = a.ends[victim];
+  f.died_at = now() + f.wasted;
 }
 
 bool JobRunner::grow_stage_partitions(std::size_t s, StageMetrics& sm) {
@@ -1944,7 +1908,7 @@ void JobRunner::commit_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
       for (std::size_t p = 0; p < cd.partitions.size(); ++p) {
         cd.sums[p] = cd.partitions[p].checksum();
       }
-      if (corrupt_) fire_cache_corruption(ds->id(), cd);
+      fire_cache_corruption(ds->id(), cd);
     }
     if (tracing()) {
       obs::Event e;
@@ -1971,7 +1935,7 @@ void JobRunner::commit_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
   for (auto& ps : a.pending) {
     if (integrity_) {
       ps.so.record_row_sums();
-      if (corrupt_) fire_shuffle_corruption(sm.stage_id, ps.so);
+      fire_shuffle_corruption(sm.stage_id, ps.so);
     }
     ps.so.shuffle_id = eng_.shuffles_.next_id();
     auto& crt = ctx_.rt[ps.consumer];
@@ -2072,8 +2036,8 @@ void JobRunner::commit_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
   }
 
   // ---- release consumed parent shuffles ------------------------------------
-  // Classic mode only: retained-data jobs (failure schedule, memory budget,
-  // OOM injection) keep every shuffle alive until job end so lineage replay
+  // Classic mode only: retained-data jobs (memory budget, a stage-retrying
+  // fault plan) keep every shuffle alive until job end so lineage replay
   // and attempt retries can re-read surviving map outputs.
   if (!retain_ && plan.input == StageInputKind::kShuffle) {
     for (const std::size_t parent : plan.parent_stages) {
@@ -2096,7 +2060,7 @@ void JobRunner::release_job_shuffles() {
 // ---------------------------------------------------------------------------
 
 void JobRunner::fire_failure(std::size_t i, double at_time) {
-  const NodeFailure& f = eng_.options_.failure_schedule.failures[i];
+  const NodeFailure& f = faults_.node_failures[i];
   auto& fs = eng_.failure_state_[i];
   fs.fired = true;
   if (f.node >= eng_.cluster_.num_nodes()) return;  // ignore bogus entries
@@ -2121,15 +2085,15 @@ void JobRunner::fire_failure(std::size_t i, double at_time) {
 }
 
 void JobRunner::process_barrier_failures(std::size_t stage_global_id) {
-  const auto& sched = eng_.options_.failure_schedule;
+  const std::vector<NodeFailure>& failures = faults_.node_failures;
   // Rejoins first: a node whose rejoin time passed comes back (empty — its
   // data stays lost; only fresh tasks may land on it again).
-  for (std::size_t i = 0; i < sched.failures.size(); ++i) {
+  for (std::size_t i = 0; i < failures.size(); ++i) {
     auto& fs = eng_.failure_state_[i];
     if (fs.fired && !fs.rejoined && fs.rejoin_at >= 0.0 &&
         now() >= fs.rejoin_at) {
       fs.rejoined = true;
-      const std::size_t n = sched.failures[i].node;
+      const std::size_t n = failures[i].node;
       if (n < eng_.cluster_.num_nodes()) eng_.node_alive_[n] = 1;
       if (tracing()) {
         obs::Event e;
@@ -2140,8 +2104,8 @@ void JobRunner::process_barrier_failures(std::size_t stage_global_id) {
       }
     }
   }
-  for (std::size_t i = 0; i < sched.failures.size(); ++i) {
-    const NodeFailure& f = sched.failures[i];
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    const NodeFailure& f = failures[i];
     if (eng_.failure_state_[i].fired) continue;
     const bool stage_hit =
         f.at_stage_id >= 0 &&
@@ -2183,48 +2147,48 @@ bool JobRunner::stage_depends_on_node(std::size_t s, std::size_t node) const {
   return false;
 }
 
-bool JobRunner::scan_window_failures(std::size_t s, StageMetrics& sm,
-                                     double makespan) {
-  const auto& sched = eng_.options_.failure_schedule;
+void JobRunner::scan_window_failures(std::size_t s, StageMetrics& sm,
+                                     Attempt& a) {
+  const std::vector<NodeFailure>& failures = faults_.node_failures;
   const double attempt_start = now();
-  const double window_end = attempt_start + makespan;
-  constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  const double window_end = attempt_start + a.makespan;
 
   for (;;) {
     // Earliest unfired sim-time failure strictly inside the attempt window.
-    std::size_t best = npos;
+    std::size_t best = kNpos;
     double best_t = window_end;
-    for (std::size_t i = 0; i < sched.failures.size(); ++i) {
-      const NodeFailure& f = sched.failures[i];
+    for (std::size_t i = 0; i < failures.size(); ++i) {
+      const NodeFailure& f = failures[i];
       if (eng_.failure_state_[i].fired || f.at_sim_time < 0.0) continue;
       if (f.at_sim_time > attempt_start && f.at_sim_time < window_end &&
-          (best == npos || f.at_sim_time < best_t)) {
+          (best == kNpos || f.at_sim_time < best_t)) {
         best = i;
         best_t = f.at_sim_time;
       }
     }
-    if (best == npos) return false;
+    if (best == kNpos) return;
 
     // Decide whether this attempt even notices the death *before* firing it
     // (firing marks the data lost, which would taint the test).
-    const bool affects = stage_depends_on_node(s, sched.failures[best].node);
+    const bool affects = stage_depends_on_node(s, failures[best].node);
     fire_failure(best, best_t);
     if (affects) {
       // Fetch failure / executor loss mid-stage: the attempt dies at the
       // failure instant; everything it ran so far is wasted sim time.
-      set_now(best_t);
-      sm.recovery_time_s += best_t - attempt_start;
+      a.failure.kind = AttemptFailure::Kind::kNodeLoss;
+      a.failure.died_at = best_t;
+      a.failure.wasted = best_t - attempt_start;
       if (tracing()) {
         obs::Event e;
         e.kind = obs::EventKind::kFetchFailure;
         e.job = ctx_.job_id;
         e.stage = sm.stage_id;
         e.plan_index = s;
-        e.node = sched.failures[best].node;
-        e.value = best_t - attempt_start;  // wasted attempt time
-        emit(std::move(e));
+        e.node = failures[best].node;
+        e.value = a.failure.wasted;
+        emit_at(best_t, std::move(e));
       }
-      return true;
+      return;
     }
     // A node nobody in this stage touches: the stage sails on; keep
     // scanning the rest of the window.
@@ -2345,9 +2309,8 @@ void JobRunner::verify_cache_sums(const Dataset* anchor, StageMetrics& sm) {
 
 void JobRunner::fire_shuffle_corruption(std::size_t stage_global_id,
                                         ShuffleOutput& so) {
-  const auto& sched = eng_.options_.corruption_schedule;
-  for (std::size_t i = 0; i < sched.corruptions.size(); ++i) {
-    const CorruptionInjection& inj = sched.corruptions[i];
+  for (std::size_t i = 0; i < faults_.corruptions.size(); ++i) {
+    const CorruptionInjection& inj = faults_.corruptions[i];
     if (eng_.corruption_fired_[i] ||
         inj.target != CorruptionInjection::Target::kShuffleRow ||
         inj.stage_id != stage_global_id || so.num_map_tasks == 0) {
@@ -2365,9 +2328,8 @@ void JobRunner::fire_shuffle_corruption(std::size_t stage_global_id,
 
 void JobRunner::fire_cache_corruption(std::size_t dataset_id,
                                       CachedDataset& cd) {
-  const auto& sched = eng_.options_.corruption_schedule;
-  for (std::size_t i = 0; i < sched.corruptions.size(); ++i) {
-    const CorruptionInjection& inj = sched.corruptions[i];
+  for (std::size_t i = 0; i < faults_.corruptions.size(); ++i) {
+    const CorruptionInjection& inj = faults_.corruptions[i];
     if (eng_.corruption_fired_[i] ||
         inj.target != CorruptionInjection::Target::kCachedBlock ||
         inj.dataset_id != dataset_id || cd.partitions.empty()) {
@@ -2705,8 +2667,8 @@ void JobRunner::recover_cached_blocks(const Dataset* anchor, StageMetrics& sm) {
     throw JobAbortedError("recovery job failed to rematerialize '" +
                           anchor->label() + "'");
   }
-  // Recovery sub-jobs always run on the engine clock (failure schedules are
-  // a single-job-mode feature; the service rejects engines that enable one).
+  // Recovery sub-jobs always run on the engine clock (node failures are a
+  // single-job-mode feature; the service rejects engines that inject them).
   sm.recovery_time_s += eng_.sim_clock_ - sim_before;
   auto g = eng_.block_manager_.guard();
   for (const std::size_t m : missing) {

@@ -51,7 +51,7 @@ struct ShuffleOutput {
   std::vector<char> on_disk;
   /// Per-map-row integrity checksums: row_sum[m] digests every bucket of
   /// row m (recorded at publish, recomputed after heals/re-bucketing).
-  /// Empty vector == checksums off (no CorruptionSchedule armed).
+  /// Empty vector == checksums off (no corruptions injected).
   std::vector<std::uint64_t> row_sum;
   std::uint64_t total_bytes = 0;  ///< includes per-bucket headers
   bool passthrough = false;       ///< co-partitioned: no real shuffle happened

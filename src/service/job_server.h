@@ -111,9 +111,10 @@ class JobHandle {
 
 class JobServer {
  public:
-  /// The engine must not use a failure schedule (node-death state is
-  /// engine-global, incompatible with concurrent jobs) — throws
-  /// std::invalid_argument if it does.
+  /// The engine's fault plan must not be engine-global
+  /// (FaultPlan::engine_global: node deaths, flaky fetches and corruptions
+  /// are shared state, incompatible with concurrent jobs) — throws
+  /// std::invalid_argument if it is.
   JobServer(engine::Engine& engine, JobServerOptions options = {});
 
   /// Cancels everything still queued, waits for running jobs to finish.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 namespace chopper::core {
 namespace {
@@ -49,6 +51,36 @@ TEST(PlanConfig, ParseRejectsUnknownField) {
   common::KvConfig cfg;
   cfg.set("stage.1.bogus", "x");
   EXPECT_THROW(parse_plan_config(cfg), std::runtime_error);
+}
+
+TEST(PlanConfig, ParseRejectsMalformedCounts) {
+  for (const std::string field : {"partitions", "p_min"}) {
+    const std::string key = "stage.9." + field;
+    for (const std::string bad :
+         {"-3", "12abc", "", "1.5", "+4", " 7", "0x10",
+          "99999999999999999999999"}) {
+      common::KvConfig cfg;
+      cfg.set(key, bad);
+      try {
+        parse_plan_config(cfg);
+        ADD_FAILURE() << key << " accepted '" << bad << "'";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(PlanConfig, ParseAcceptsWholeCounts) {
+  common::KvConfig cfg;
+  cfg.set("stage.9.partitions", "0");
+  cfg.set("stage.10.partitions", "720");
+  cfg.set("stage.10.p_min", "120");
+  const auto parsed = parse_plan_config(cfg);
+  EXPECT_EQ(parsed.schemes.at(9).num_partitions, 0u);
+  EXPECT_EQ(parsed.schemes.at(10).num_partitions, 720u);
+  EXPECT_EQ(parsed.p_min.at(10), 120u);
 }
 
 TEST(PlanConfig, ParseIgnoresForeignKeys) {

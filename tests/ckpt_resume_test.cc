@@ -259,7 +259,7 @@ TEST(CkptResume, CrashMidOomRetryForcesFullRerun) {
   oom.stage_id = 0;
   oom.attempts = 1;
   oom.task = 0;
-  opts.oom_schedule.ooms.push_back(oom);
+  opts.faults.ooms.push_back(oom);
   // Keep the retry at the same partition count so the faulty timeline is
   // itself deterministic (same guard as bench/chaos).
   opts.memory.oom_repartition_after = 100;

@@ -74,7 +74,7 @@ TEST(FaultTolerance, BarrierNodeFailureRecoversIdenticalResults) {
   // Node 1 dies at the barrier right before the reduce stage (global stage
   // id 1): its map outputs are gone and must be replayed from lineage.
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1,
                   /*rejoin_after_s=*/-1.0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
@@ -104,7 +104,7 @@ TEST(FaultTolerance, MidWindowFailureRetriesTheStage) {
   ASSERT_GT(stages[1].sim_time_s, 0.0);
 
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/0, t_fail, /*at_stage_id=*/-1,
                   /*rejoin_after_s=*/-1.0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
@@ -121,7 +121,7 @@ TEST(FaultTolerance, MidWindowFailureRetriesTheStage) {
 
 TEST(FaultTolerance, RecoveryIsDeterministic) {
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1,
                   /*rejoin_after_s=*/-1.0});
   Engine a(ClusterSpec::uniform(2, 2), opts);
@@ -162,7 +162,7 @@ TEST(FaultTolerance, CachedBlocksRecomputedFromNarrowLineage) {
   // (global stage id 1), taking its cached blocks with it.
   generations = 0;
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1,
                   /*rejoin_after_s=*/-1.0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
@@ -193,7 +193,7 @@ TEST(FaultTolerance, WideLineageCacheRebuildsViaRecoveryJob) {
   const std::size_t vanilla_stage_count = vanilla.metrics().stages().size();
 
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0,
                   /*at_stage_id=*/static_cast<std::ptrdiff_t>(
                       vanilla_stage_count - 1),
@@ -216,7 +216,7 @@ TEST(FaultTolerance, WideLineageCacheRebuildsViaRecoveryJob) {
 
 TEST(FaultTolerance, NodeRejoinsEmptyAfterRecovery) {
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1,
                   /*rejoin_after_s=*/0.0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
@@ -235,9 +235,9 @@ TEST(FaultTolerance, NodeRejoinsEmptyAfterRecovery) {
 
 TEST(FaultTolerance, LosingEveryNodeAbortsWithCleanup) {
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/0, /*at_sim_time=*/-1.0, /*at_stage_id=*/1, -1.0});
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1, -1.0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
   EXPECT_THROW(eng.count(sum_by_mod(2000, 23)), JobAbortedError);
@@ -258,8 +258,8 @@ TEST(FaultTolerance, StageAttemptBoundAborts) {
   const double t_fail = stages[1].sim_start_s + 0.5 * stages[1].sim_time_s;
 
   EngineOptions opts = small_options();
-  opts.failure_schedule.max_stage_attempts = 1;  // no retry budget at all
-  opts.failure_schedule.failures.push_back(
+  opts.faults.max_stage_attempts = 1;  // no retry budget at all
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/0, t_fail, /*at_stage_id=*/-1, -1.0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
   EXPECT_THROW(eng.collect(sum_by_mod(4000, 37)), JobAbortedError);
@@ -274,7 +274,7 @@ TEST(FaultTolerance, InjectedFaultAbortReportsStructuredFailure) {
   // abort type and leaves a failed-job metrics row + clean shuffle state.
   EngineOptions opts = small_options();
   opts.faults.task_failure_prob = 1.0;
-  opts.faults.max_attempts = 2;
+  opts.faults.max_task_attempts = 2;
   Engine eng(ClusterSpec::uniform(2, 2), opts);
   EXPECT_THROW(eng.count(sum_by_mod(1000, 7)), JobAbortedError);
   EXPECT_EQ(eng.shuffle_manager().count(), 0u);

@@ -152,7 +152,7 @@ TEST(FaultInjection, RetriesSlowTheStageDeterministically) {
     opts.default_parallelism = 16;
     opts.host_threads = 4;
     opts.faults.task_failure_prob = prob;
-    opts.faults.max_attempts = 100;
+    opts.faults.max_task_attempts = 100;
     Engine eng(ClusterSpec::uniform(2, 4), opts);
     auto ds = Dataset::source("s", 64, iota_source(10'000));
     return eng.count(ds).sim_time_s;
@@ -167,7 +167,7 @@ TEST(FaultInjection, RetriesSlowTheStageDeterministically) {
 TEST(FaultInjection, ResultsUnaffectedByFaults) {
   EngineOptions opts = small_options();
   opts.faults.task_failure_prob = 0.4;
-  opts.faults.max_attempts = 100;
+  opts.faults.max_task_attempts = 100;
   Engine eng(ClusterSpec::uniform(2, 4), opts);
   auto ds = Dataset::source("s", 8, iota_source(500))
                 ->map("k",
@@ -189,7 +189,7 @@ TEST(FaultInjection, ResultsUnaffectedByFaults) {
 TEST(FaultInjection, AttemptsRecordedInMetrics) {
   EngineOptions opts = small_options();
   opts.faults.task_failure_prob = 0.5;
-  opts.faults.max_attempts = 100;
+  opts.faults.max_task_attempts = 100;
   Engine eng(ClusterSpec::uniform(2, 4), opts);
   eng.count(Dataset::source("s", 32, iota_source(1000)));
   std::size_t retried = 0;
@@ -202,7 +202,7 @@ TEST(FaultInjection, AttemptsRecordedInMetrics) {
 TEST(FaultInjection, ExceedingMaxAttemptsAbortsJob) {
   EngineOptions opts = small_options();
   opts.faults.task_failure_prob = 1.0;  // every attempt fails
-  opts.faults.max_attempts = 3;
+  opts.faults.max_task_attempts = 3;
   Engine eng(ClusterSpec::uniform(2, 4), opts);
   EXPECT_THROW(eng.count(Dataset::source("s", 4, iota_source(100))),
                std::runtime_error);

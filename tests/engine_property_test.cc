@@ -148,7 +148,7 @@ TEST(ResultInvarianceKnobs, SpeculationAndFaultsPreserveResults) {
     opts.host_threads = 4;
     opts.speculation.enabled = speculate;
     opts.faults.task_failure_prob = fault_prob;
-    opts.faults.max_attempts = 50;
+    opts.faults.max_task_attempts = 50;
     Engine eng(ClusterSpec::uniform(2, 4), opts);
     auto ds = Dataset::source("src", 8, source())
                   ->reduce_by_key("sum", [](Record& acc, const Record& next) {

@@ -419,9 +419,9 @@ TEST(JobServerQueue, BackpressureThrowsWhenFull) {
   server.wait_all();
 }
 
-TEST(JobServerQueue, RejectsFailureScheduleEngines) {
+TEST(JobServerQueue, RejectsEngineGlobalFaultPlans) {
   EngineOptions o = small_options();
-  o.failure_schedule.failures.push_back({/*node=*/0, /*at_sim_time=*/1.0});
+  o.faults.node_failures.push_back({/*node=*/0, /*at_sim_time=*/1.0});
   Engine eng(ClusterSpec::uniform(2, 4), o);
   EXPECT_THROW(JobServer(eng, {}), std::invalid_argument);
 }

@@ -359,13 +359,46 @@ engine::DatasetPtr make_serve_job(std::size_t i, bool tiny, std::string* name,
   return bench::service_small_job(i);
 }
 
+/// The keys a run/serve invocation records for `resume DIR` (runspec.kv).
+using RunSpec = std::map<std::string, std::string>;
+
+/// EngineOptions of `run`, built from its runspec so `resume` rebuilds the
+/// exact engine the checkpointed run used.
+engine::EngineOptions run_engine_options(RunSpec& rs) {
+  engine::EngineOptions opts = bench::vanilla_options();
+  if (rs["speculation"] == "1") opts.speculation.enabled = true;
+  if (rs["aqe"] == "1") {
+    opts.adaptive.enabled = true;
+    opts.adaptive.target_partition_bytes = 24ULL << 20;
+    opts.adaptive.min_partitions = 8;
+  }
+  if (rs["mem-enforce"] == "1") opts.memory.enforce = true;
+  return opts;
+}
+
+/// JobServerOptions of `serve`, built from its runspec so `resume` re-serves
+/// the job mix under the same scheduler, slots and pools.
+service::JobServerOptions serve_options(RunSpec& rs) {
+  const auto count = [&rs](const char* key, std::size_t fallback) {
+    return rs.count(key) ? parse_flag<std::size_t>(key, rs[key]) : fallback;
+  };
+  service::JobServerOptions sopts;
+  sopts.mode = rs["mode"] == "fair" ? service::SchedulingMode::kFair
+                                    : service::SchedulingMode::kFifo;
+  sopts.max_concurrent_jobs = count("max-concurrent", 4);
+  sopts.max_queued_jobs = count("jobs", 8) + 1;
+  sopts.pools["interactive"] = {/*weight=*/2.0, /*min_share=*/0.2};
+  sopts.pools["batch"] = {/*weight=*/1.0, /*min_share=*/0.0};
+  return sopts;
+}
+
 /// Attach a checkpoint WAL writer to a run/serve invocation and record the
 /// runspec `resume DIR` needs to rebuild the identical process. Refuses
 /// --adapt: in-flight re-planning would let the restarted run choose a
 /// different plan, voiding the bit-identical-resume contract.
 std::shared_ptr<ckpt::CheckpointWriter> attach_checkpoint(
     const Args& args, obs::EventLog& event_log, engine::Engine& eng,
-    std::vector<std::pair<std::string, std::string>> runspec) {
+    const RunSpec& runspec) {
   if (args.has("adapt")) {
     throw UsageError(
         "--checkpoint cannot be combined with --adapt (in-flight re-planning "
@@ -387,7 +420,8 @@ std::shared_ptr<ckpt::CheckpointWriter> attach_checkpoint(
   event_log.attach(writer);
   eng.set_event_log(&event_log);
   eng.set_checkpoint_hook(writer.get());
-  ckpt::write_kv_snapshot(dir + "/runspec.kv", runspec, copts.sync);
+  ckpt::write_kv_snapshot(dir + "/runspec.kv", {runspec.begin(), runspec.end()},
+                          copts.sync);
   std::printf("checkpointing to %s (wal epoch %zu%s)\n", dir.c_str(),
               writer->wal_epoch(), copts.sync ? ", fsync" : "");
   return writer;
@@ -558,13 +592,18 @@ int cmd_run(const Args& args) {
     throw UsageError("--crash-at-* requires --checkpoint DIR");
   }
   const double scale = args.get_double("scale", 1.0);
-  engine::EngineOptions opts = bench::vanilla_options();
-  if (args.has("speculation")) opts.speculation.enabled = true;
-  if (args.has("aqe")) {
-    opts.adaptive.enabled = true;
-    opts.adaptive.target_partition_bytes = 24ULL << 20;
-    opts.adaptive.min_partitions = 8;
-  }
+  RunSpec spec = {
+      {"command", "run"},
+      {"workload", args.get("workload")},
+      {"scale", args.get("scale", "1")},
+      {"tiny", args.has("tiny") ? "1" : "0"},
+      {"conf", args.get("conf")},
+      {"speculation", args.has("speculation") ? "1" : "0"},
+      {"aqe", args.has("aqe") ? "1" : "0"},
+      // --mem-scale turns enforcement on even at 1.0, so record both.
+      {"mem-scale", args.get("mem-scale", "1")},
+      {"mem-enforce", args.has("mem-scale") ? "1" : "0"}};
+  const engine::EngineOptions opts = run_engine_options(spec);
   double mem_scale = 1.0;
   if (args.has("mem-scale")) {
     mem_scale = args.get_double("mem-scale", 1.0);
@@ -572,7 +611,6 @@ int cmd_run(const Args& args) {
       throw UsageError("invalid --mem-scale '" + args.get("mem-scale") +
                        "' (must be > 0)");
     }
-    opts.memory.enforce = true;
     std::printf("memory budgets enforced at %.2fx executor memory\n",
                 mem_scale);
   }
@@ -586,18 +624,7 @@ int cmd_run(const Args& args) {
   }
   std::shared_ptr<ckpt::CheckpointWriter> ckpt_writer;
   if (args.has("checkpoint")) {
-    ckpt_writer = attach_checkpoint(
-        args, event_log, eng,
-        {{"command", "run"},
-         {"workload", args.get("workload")},
-         {"scale", args.get("scale", "1")},
-         {"tiny", args.has("tiny") ? "1" : "0"},
-         {"conf", args.get("conf")},
-         {"speculation", args.has("speculation") ? "1" : "0"},
-         {"aqe", args.has("aqe") ? "1" : "0"},
-         // --mem-scale turns enforcement on even at 1.0, so record both.
-         {"mem-scale", args.get("mem-scale", "1")},
-         {"mem-enforce", args.has("mem-scale") ? "1" : "0"}});
+    ckpt_writer = attach_checkpoint(args, event_log, eng, spec);
   }
 
   common::KvConfig initial_plan;
@@ -736,9 +763,13 @@ int cmd_serve(const Args& args) {
     throw UsageError("invalid --mode '" + mode_s + "' (fifo|fair)");
   }
   const bool tiny = args.has("tiny");
+  RunSpec spec = {{"command", "serve"},
+                  {"jobs", std::to_string(jobs)},
+                  {"mode", mode_s},
+                  {"max-concurrent", std::to_string(max_concurrent)},
+                  {"tiny", tiny ? "1" : "0"}};
 
-  engine::EngineOptions eopts = bench::vanilla_options();
-  engine::Engine eng(bench::bench_cluster(), eopts);
+  engine::Engine eng(bench::bench_cluster(), bench::vanilla_options());
   obs::EventLog event_log;
   if (args.has("event-log")) {
     event_log.attach(
@@ -749,13 +780,7 @@ int cmd_serve(const Args& args) {
   std::shared_ptr<ckpt::CheckpointWriter> ckpt_writer;
   if (args.has("checkpoint")) {
     // Also before JobServer construction, for the same ledger reason.
-    ckpt_writer = attach_checkpoint(
-        args, event_log, eng,
-        {{"command", "serve"},
-         {"jobs", std::to_string(jobs)},
-         {"mode", mode_s},
-         {"max-concurrent", std::to_string(max_concurrent)},
-         {"tiny", tiny ? "1" : "0"}});
+    ckpt_writer = attach_checkpoint(args, event_log, eng, spec);
   }
 
   // --adapt: adaptive controller shared by all workers; every job opts in.
@@ -786,13 +811,7 @@ int cmd_serve(const Args& args) {
     std::printf("cache policy: cost-aware eviction with pool shares\n");
   }
 
-  service::JobServerOptions sopts;
-  sopts.mode = mode_s == "fair" ? service::SchedulingMode::kFair
-                                : service::SchedulingMode::kFifo;
-  sopts.max_concurrent_jobs = max_concurrent;
-  sopts.max_queued_jobs = jobs + 1;
-  sopts.pools["interactive"] = {/*weight=*/2.0, /*min_share=*/0.2};
-  sopts.pools["batch"] = {/*weight=*/1.0, /*min_share=*/0.0};
+  const service::JobServerOptions sopts = serve_options(spec);
   service::JobServer server(eng, sopts);
   if (controller != nullptr) server.set_adaptive(controller);
   if (cache_planner != nullptr) {
@@ -882,8 +901,7 @@ int cmd_serve(const Args& args) {
 /// re-run the driver — adopt_restored skips every committed stage, the rest
 /// re-execute deterministically.
 int resume_run(const Args& args, const std::string& dir,
-               ckpt::ResumePlan& plan,
-               std::map<std::string, std::string>& rs) {
+               ckpt::ResumePlan& plan, RunSpec& rs) {
   const bool tiny = rs["tiny"] == "1";
   const auto wl = make_workload(rs["workload"], tiny);
   if (!wl) {
@@ -896,16 +914,7 @@ int resume_run(const Args& args, const std::string& dir,
   const double mem_scale =
       rs.count("mem-scale") ? parse_flag<double>("mem-scale", rs["mem-scale"])
                             : 1.0;
-  engine::EngineOptions opts = bench::vanilla_options();
-  if (rs["speculation"] == "1") opts.speculation.enabled = true;
-  if (rs["aqe"] == "1") {
-    opts.adaptive.enabled = true;
-    opts.adaptive.target_partition_bytes = 24ULL << 20;
-    opts.adaptive.min_partitions = 8;
-  }
-  if (rs["mem-enforce"] == "1") opts.memory.enforce = true;
-
-  engine::Engine eng(bench::bench_cluster(mem_scale), opts);
+  engine::Engine eng(bench::bench_cluster(mem_scale), run_engine_options(rs));
   obs::EventLog event_log;
   ckpt::CheckpointOptions copts;
   copts.sync = args.has("sync");
@@ -936,16 +945,10 @@ int resume_run(const Args& args, const std::string& dir,
 /// Service jobs run against per-job virtual clocks, so stage adoption does
 /// not apply — recovery here is job-granular, not stage-granular.
 int resume_serve(const Args& args, const std::string& dir,
-                 ckpt::ResumePlan& plan,
-                 std::map<std::string, std::string>& rs) {
+                 ckpt::ResumePlan& plan, RunSpec& rs) {
   const bool tiny = rs["tiny"] == "1";
   const std::size_t jobs =
       rs.count("jobs") ? parse_flag<std::size_t>("jobs", rs["jobs"]) : 8;
-  const std::size_t max_concurrent =
-      rs.count("max-concurrent")
-          ? parse_flag<std::size_t>("max-concurrent", rs["max-concurrent"])
-          : 4;
-  const std::string mode_s = rs.count("mode") ? rs["mode"] : "fifo";
 
   engine::Engine eng(bench::bench_cluster(), bench::vanilla_options());
   obs::EventLog event_log;
@@ -984,13 +987,7 @@ int resume_serve(const Args& args, const std::string& dir,
     }
   }
 
-  service::JobServerOptions sopts;
-  sopts.mode = mode_s == "fair" ? service::SchedulingMode::kFair
-                                : service::SchedulingMode::kFifo;
-  sopts.max_concurrent_jobs = max_concurrent;
-  sopts.max_queued_jobs = jobs + 1;
-  sopts.pools["interactive"] = {/*weight=*/2.0, /*min_share=*/0.2};
-  sopts.pools["batch"] = {/*weight=*/1.0, /*min_share=*/0.0};
+  const service::JobServerOptions sopts = serve_options(rs);
   service::JobServer server(eng, sopts);
 
   std::printf(
@@ -1011,17 +1008,10 @@ int resume_serve(const Args& args, const std::string& dir,
     if (it != finished.end()) {
       // kJobFinish carries the job's execution record, not its result
       // payload; a re-admitted handle surfaces metrics + success state.
-      const engine::JobMetrics& jm = it->second;
       engine::JobResult r;
-      r.job_id = jm.job_id;
-      r.name = jm.name.empty() ? name : jm.name;
-      r.sim_time_s = jm.sim_time_s;
-      r.wall_time_s = jm.wall_time_s;
-      r.stage_ids = jm.stage_ids;
-      r.stage_attempts = jm.stage_attempts;
-      r.fetch_retries = jm.fetch_retries;
-      r.oom_count = jm.oom_count;
-      r.replayed_events = jm.stage_ids.size();
+      static_cast<engine::JobMetrics&>(r) = it->second;
+      if (r.name.empty()) r.name = name;
+      r.replayed_events = r.stage_ids.size();
       handles.push_back(server.admit_completed(name, std::move(r)));
     } else {
       service::SubmitOptions o;
@@ -1086,7 +1076,7 @@ int cmd_resume(const Args& args) {
                  dir.c_str());
     return 1;
   }
-  std::map<std::string, std::string> rs(spec->begin(), spec->end());
+  RunSpec rs(spec->begin(), spec->end());
   if (rs["command"] == "run") return resume_run(args, dir, plan, rs);
   if (rs["command"] == "serve") return resume_serve(args, dir, plan, rs);
   std::fprintf(stderr, "error: runspec has unknown command '%s'\n",
