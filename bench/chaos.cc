@@ -1,6 +1,7 @@
 #include "chaos.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -368,6 +369,35 @@ ChaosReport chaos_run(std::uint64_t seed, bool tiny) {
 
   r.ok = true;
   return r;
+}
+
+int chaos_sweep(std::uint64_t start, std::size_t runs, bool tiny,
+                const std::string& json, const std::string& name) {
+  Table table({"seed", "workload", "flaky", "corrupt", "nodefail", "oom",
+               "base(s)", "faulty(s)", "retries", "cksum", "excl", "verdict"});
+  std::size_t failures = 0;
+  for (std::size_t i = 0; i < runs; ++i) {
+    const ChaosReport r = chaos_run(start + i, tiny);
+    if (!r.ok) {
+      ++failures;
+      std::fprintf(stderr, "seed %llu (%s): %s\n",
+                   static_cast<unsigned long long>(r.seed),
+                   r.workload.c_str(), r.failure.c_str());
+    }
+    table.add_row({std::to_string(r.seed), r.workload,
+                   std::to_string(r.flaky_nodes), std::to_string(r.corruptions),
+                   std::to_string(r.node_failures),
+                   std::to_string(r.oom_injections), Table::num(r.baseline_s, 2),
+                   Table::num(r.faulty_s, 2), std::to_string(r.fetch_retries),
+                   std::to_string(r.checksum_failures),
+                   std::to_string(r.node_exclusions),
+                   r.ok ? "ok" : "FAIL: " + r.failure});
+  }
+  table.print();
+  std::printf("%zu/%zu seeds bit-identical with replay parity\n",
+              runs - failures, runs);
+  if (!json.empty() && !table.write_json(json, name)) return 1;
+  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace chopper::bench

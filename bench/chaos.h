@@ -57,4 +57,11 @@ struct ChaosReport {
 /// smallest job graph for CI smoke runs.
 ChaosReport chaos_run(std::uint64_t seed, bool tiny);
 
+/// chaos_run over seeds [start, start + runs): prints each divergence to
+/// stderr, the per-seed table and the verdict line, and mirrors the table
+/// into `json` (as `name`) when `json` is non-empty. Returns the exit
+/// status: 0 when every seed held, 1 on a divergence or a failed write.
+int chaos_sweep(std::uint64_t start, std::size_t runs, bool tiny,
+                const std::string& json, const std::string& name);
+
 }  // namespace chopper::bench

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "chaos.h"
+#include "common/parse.h"
 #include "harness.h"
 
 using namespace chopper;
@@ -21,54 +22,35 @@ int main(int argc, char** argv) {
   std::size_t seeds = 100;
   std::size_t start = 0;
   bool tiny = false;
-  for (int i = 1; i < argc; ++i) {
+  bool bad = false;
+  const auto count = [&bad](const char* raw) {
+    const auto v = common::parse_int<std::size_t>(raw);
+    bad = bad || !v;
+    return v.value_or(0);
+  };
+  for (int i = 1; i < argc && !bad; ++i) {
     if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      seeds = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      seeds = count(argv[++i]);
+      bad = bad || seeds == 0;  // a sweep of no seeds checks nothing
     } else if (std::strcmp(argv[i], "--start") == 0 && i + 1 < argc) {
-      start = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      start = count(argv[++i]);
     } else if (std::strcmp(argv[i], "--tiny") == 0) {
       tiny = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       ++i;  // handled by bench::json_flag below
     } else {
-      std::fprintf(stderr,
-                   "usage: chaos_fuzz [--seeds N] [--start S] [--tiny] "
-                   "[--json PATH]\n");
-      return 2;
+      bad = true;
     }
+  }
+  if (bad) {
+    std::fprintf(stderr,
+                 "usage: chaos_fuzz [--seeds N] [--start S] [--tiny] "
+                 "[--json PATH]\n");
+    return 2;
   }
 
   bench::print_header("Differential chaos fuzzer: faulty runs must be "
                       "bit-identical, replayable and bounded");
-  bench::Table table({"seed", "workload", "flaky", "corrupt", "nodefail",
-                      "oom", "base(s)", "faulty(s)", "retries", "cksum",
-                      "excl", "verdict"});
-  std::size_t failures = 0;
-  for (std::size_t s = 0; s < seeds; ++s) {
-    const bench::ChaosReport r = bench::chaos_run(start + s, tiny);
-    if (!r.ok) {
-      ++failures;
-      std::fprintf(stderr, "seed %llu (%s): %s\n",
-                   static_cast<unsigned long long>(r.seed),
-                   r.workload.c_str(), r.failure.c_str());
-    }
-    table.add_row({std::to_string(r.seed), r.workload,
-                   std::to_string(r.flaky_nodes),
-                   std::to_string(r.corruptions),
-                   std::to_string(r.node_failures),
-                   std::to_string(r.oom_injections),
-                   bench::Table::num(r.baseline_s, 2),
-                   bench::Table::num(r.faulty_s, 2),
-                   std::to_string(r.fetch_retries),
-                   std::to_string(r.checksum_failures),
-                   std::to_string(r.node_exclusions),
-                   r.ok ? "ok" : "FAIL: " + r.failure});
-  }
-  table.print();
-  std::printf("%zu/%zu seeds bit-identical with replay parity\n",
-              seeds - failures, seeds);
-
-  const std::string json = bench::json_flag(argc, argv);
-  if (!json.empty() && !table.write_json(json, "chaos_fuzz")) return 1;
-  return failures == 0 ? 0 : 1;
+  return bench::chaos_sweep(start, seeds, tiny, bench::json_flag(argc, argv),
+                            "chaos_fuzz");
 }

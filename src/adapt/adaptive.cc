@@ -328,20 +328,16 @@ void AdaptiveController::maybe_replan_locked(const obs::Event& trigger) {
 }
 
 common::KvConfig AdaptiveController::config_locked() const {
-  common::KvConfig cfg;
+  std::vector<core::PlannedStage> rows;
   for (const auto& [sig, d] : deployed_) {
-    const std::string prefix = "stage." + std::to_string(sig);
-    cfg.set(prefix + ".partitioner", engine::to_string(d.kind));
-    cfg.set_int(prefix + ".partitions",
-                static_cast<std::int64_t>(d.num_partitions));
-    if (repartition_sigs_.count(sig) != 0) {
-      cfg.set_int(prefix + ".repartition", 1);
-    }
-    if (d.p_min > 0) {
-      cfg.set_int(prefix + ".p_min", static_cast<std::int64_t>(d.p_min));
-    }
+    core::PlannedStage& ps = rows.emplace_back();
+    ps.signature = sig;
+    ps.partitioner = d.kind;
+    ps.num_partitions = d.num_partitions;
+    ps.insert_repartition = repartition_sigs_.count(sig) != 0;
+    ps.p_min = d.p_min;
   }
-  return cfg;
+  return core::plan_to_config(rows);
 }
 
 void AdaptiveController::emit_decision(obs::Event e) {

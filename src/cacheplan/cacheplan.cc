@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/logging.h"
 #include "engine/dataset.h"
 
 namespace chopper::cacheplan {
@@ -22,12 +21,6 @@ const char* to_string(CacheAction action) noexcept {
 }
 
 namespace {
-
-CacheAction parse_action(const std::string& s) noexcept {
-  if (s == "drop") return CacheAction::kDrop;
-  if (s == "pin") return CacheAction::kPin;
-  return CacheAction::kCache;
-}
 
 /// W(d): work_per_record summed over the lineage above `d`, wide hops
 /// multiplied. Other cache() nodes bound the walk — when d is rebuilt they
@@ -60,62 +53,6 @@ engine::CachePlanSnapshot CachePlan::to_snapshot() const {
   }
   snap.pool_share = pool_share;
   return snap;
-}
-
-common::KvConfig CachePlan::to_config() const {
-  common::KvConfig cfg;
-  for (const auto& d : decisions) {
-    const std::string prefix = "cache." + std::to_string(d.signature);
-    cfg.set(prefix + ".action", to_string(d.action));
-    cfg.set_double(prefix + ".priority", d.priority);
-    cfg.set_double(prefix + ".reuse", d.expected_reuse);
-    if (!d.pool.empty()) cfg.set(prefix + ".pool", d.pool);
-  }
-  for (const auto& [pool, share] : pool_share) {
-    cfg.set_double("cache.pool." + pool, share);
-  }
-  return cfg;
-}
-
-CachePlan CachePlan::from_config(const common::KvConfig& cfg) {
-  CachePlan plan;
-  std::map<std::uint64_t, CacheDecision> by_sig;
-  for (const auto& [key, value] : cfg.entries()) {
-    if (!key.starts_with("cache.")) continue;
-    const std::size_t dot = key.find('.', 6);
-    if (dot == std::string::npos) continue;
-    const std::string mid = key.substr(6, dot - 6);
-    const std::string field = key.substr(dot + 1);
-    if (mid == "pool") {
-      try {
-        plan.pool_share[field] = std::stod(value);
-      } catch (const std::exception&) {
-        LOG_WARN << "cacheplan: skipping malformed pool share '" << key << "'";
-      }
-      continue;
-    }
-    std::uint64_t sig = 0;
-    try {
-      sig = std::stoull(mid);
-    } catch (const std::exception&) {
-      LOG_WARN << "cacheplan: skipping malformed cache key '" << key << "'";
-      continue;
-    }
-    CacheDecision& d = by_sig[sig];
-    d.signature = sig;
-    if (field == "action") {
-      d.action = parse_action(value);
-    } else if (field == "priority") {
-      d.priority = cfg.get_double(key).value_or(0.0);
-    } else if (field == "reuse") {
-      d.expected_reuse = cfg.get_double(key).value_or(0.0);
-    } else if (field == "pool") {
-      d.pool = value;
-    }
-  }
-  plan.decisions.reserve(by_sig.size());
-  for (auto& [sig, d] : by_sig) plan.decisions.push_back(std::move(d));
-  return plan;
 }
 
 CachePlanner::CachePlanner(CachePlannerOptions options) : opts_(options) {}

@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "chopper/workload_db.h"
-#include "common/kv_config.h"
 #include "engine/block_manager.h"
 #include "engine/engine.h"
 #include "engine/plan.h"
@@ -88,14 +87,6 @@ struct CachePlan {
 
   /// The guidance the BlockManager consumes (merge_cache_plan).
   engine::CachePlanSnapshot to_snapshot() const;
-
-  /// Fig.6-style attachment to the workload's config file: one
-  /// `cache.<signature>.*` tuple per decision (action, priority, reuse,
-  /// pool). Coexists with the partition plan's `stage.<signature>.*` keys —
-  /// parse_plan_config ignores keys outside its prefix, and from_config()
-  /// ignores stage keys symmetrically.
-  common::KvConfig to_config() const;
-  static CachePlan from_config(const common::KvConfig& cfg);
 };
 
 struct CachePlannerOptions {

@@ -1,27 +1,8 @@
 #include "chopper/config_plan.h"
 
-#include <charconv>
-#include <stdexcept>
+#include "common/parse.h"
 
 namespace chopper::core {
-
-namespace {
-
-/// A count value (partitions, p_min): a whole non-negative decimal integer.
-/// std::stoull would wrap "-3" to 2^64-3 and accept "12abc".
-std::size_t parse_count(const std::string& key, const std::string& value) {
-  std::size_t out = 0;
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (value.empty() || ec != std::errc{} || ptr != end) {
-    throw std::runtime_error("plan config: " + key +
-                             " must be a non-negative integer, got '" + value +
-                             "'");
-  }
-  return out;
-}
-
-}  // namespace
 
 common::KvConfig plan_to_config(const std::vector<PlannedStage>& plan) {
   common::KvConfig cfg;
@@ -39,26 +20,34 @@ common::KvConfig plan_to_config(const std::vector<PlannedStage>& plan) {
 }
 
 ParsedPlan parse_plan_config(const common::KvConfig& config) {
+  using common::require;
+  const std::string& src = config.source();
   ParsedPlan out;
   for (const auto& [key, value] : config.entries()) {
     if (key.rfind("stage.", 0) != 0) continue;
     const auto second_dot = key.find('.', 6);
     if (second_dot == std::string::npos) {
-      throw std::runtime_error("plan config: malformed key: " + key);
+      throw common::ParseError(src + ": malformed key " + key);
     }
-    const std::uint64_t sig = std::stoull(key.substr(6, second_dot - 6));
+    const std::string sig_token = key.substr(6, second_dot - 6);
+    const std::uint64_t sig =
+        require(common::parse_int<std::uint64_t>(sig_token), src,
+                "signature in " + key, sig_token);
     const std::string field = key.substr(second_dot + 1);
     if (field == "partitioner") {
-      out.schemes[sig].kind = value == "range" ? engine::PartitionerKind::kRange
-                                               : engine::PartitionerKind::kHash;
+      out.schemes[sig].kind =
+          require(engine::parse_partitioner(value), src, key, value);
     } else if (field == "partitions") {
-      out.schemes[sig].num_partitions = parse_count(key, value);
+      out.schemes[sig].num_partitions =
+          require(common::parse_int<std::size_t>(value), src, key, value);
     } else if (field == "repartition") {
-      out.insert_repartition[sig] = value == "1";
+      out.insert_repartition[sig] =
+          require(common::parse_enum(value, true), src, key, value);
     } else if (field == "p_min") {
-      out.p_min[sig] = parse_count(key, value);
+      out.p_min[sig] =
+          require(common::parse_int<std::size_t>(value), src, key, value);
     } else {
-      throw std::runtime_error("plan config: unknown field: " + key);
+      throw common::ParseError(src + ": unknown field in key " + key);
     }
   }
   return out;

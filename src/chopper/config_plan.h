@@ -38,6 +38,8 @@ struct ParsedPlan {
   /// Memory-feasibility floor per signature (absent == unconstrained).
   std::unordered_map<std::uint64_t, std::size_t> p_min;
 };
+/// Throws common::ParseError naming config.source() and the key when a key
+/// or value is malformed.
 ParsedPlan parse_plan_config(const common::KvConfig& config);
 
 /// PlanProvider backed by a Fig. 6 config. Thread-safe; updatable at runtime.

@@ -3,19 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace chopper::core {
-
-namespace {
-engine::PartitionerKind kind_from_string(const std::string& s) {
-  if (s == "range") return engine::PartitionerKind::kRange;
-  return engine::PartitionerKind::kHash;
-}
-}  // namespace
 
 void WorkloadDb::add(Observation o) { observations_.push_back(std::move(o)); }
 
@@ -330,14 +325,19 @@ void WorkloadDb::save(const std::string& path) const {
 }
 
 namespace {
-/// Next tab-separated field of a record; throws when the record is short.
-std::string next_field(std::istringstream& ls) {
-  std::string field;
-  if (!std::getline(ls, field, '\t')) {
-    throw std::runtime_error("truncated record");
-  }
-  return field;
-}
+
+// Field parsers for WorkloadDb::load (string_view -> optional).
+constexpr auto kCount = common::parse_int<std::uint64_t>;
+constexpr auto kNumber = common::parse_double;
+constexpr auto kFlag = [](std::string_view t) {
+  return common::parse_enum(t, true);
+};
+/// A finite, non-negative measurement.
+constexpr auto kAmount = [](std::string_view t) {
+  const auto v = common::parse_double(t);
+  return v && *v >= 0.0 ? v : std::nullopt;
+};
+
 }  // namespace
 
 WorkloadDb WorkloadDb::load(const std::string& path, double ridge_lambda,
@@ -352,80 +352,101 @@ WorkloadDb WorkloadDb::load(const std::string& path, double ridge_lambda,
     throw std::runtime_error("WorkloadDb: cannot read " + path);
   }
   WorkloadDb db(ridge_lambda);
-  std::string line;
-  std::size_t line_no = 0;
-  const auto parse_line = [&db](const std::string& l) {
-    std::istringstream ls(l);
-    std::string tag;
-    std::getline(ls, tag, '\t');
+  // One tab-separated record; errors name `where` ("<path>:<line>") and the
+  // field.
+  const auto parse_line = [&db](const std::string& line,
+                                const std::string& where) {
+    std::istringstream ls(line);
+    const auto text = [&](const char* field) {
+      std::string out;
+      if (!std::getline(ls, out, '\t')) {
+        throw common::ParseError(where + ": truncated record, no " + field);
+      }
+      return out;
+    };
+    const auto next = [&](const char* field, auto parse) {
+      const std::string t = text(field);
+      return common::require(parse(t), where, field, t);
+    };
+    const std::string tag = text("tag");
     if (tag == "obs") {
       Observation o;
-      o.workload = next_field(ls);
-      o.signature = std::stoull(next_field(ls));
-      o.partitioner = kind_from_string(next_field(ls));
-      o.workload_input_bytes = std::stod(next_field(ls));
-      o.stage_input_bytes = std::stod(next_field(ls));
-      o.num_partitions = std::stod(next_field(ls));
-      o.t_exe_s = std::stod(next_field(ls));
-      o.shuffle_bytes = std::stod(next_field(ls));
-      o.is_default = next_field(ls) == "1";
+      o.workload = text("workload");
+      o.signature = next("signature", kCount);
+      o.partitioner = next("partitioner", engine::parse_partitioner);
+      o.workload_input_bytes = next("workload_input_bytes", kAmount);
+      o.stage_input_bytes = next("stage_input_bytes", kAmount);
+      o.num_partitions = next("num_partitions", kAmount);
+      o.t_exe_s = next("t_exe_s", kAmount);
+      o.shuffle_bytes = next("shuffle_bytes", kAmount);
+      o.is_default = next("is_default", kFlag);
       db.add(std::move(o));
     } else if (tag == "oom") {
       OomRecord r;
-      r.workload = next_field(ls);
-      r.signature = std::stoull(next_field(ls));
-      r.stage_input_bytes = std::stod(next_field(ls));
-      r.num_partitions = std::stod(next_field(ls));
+      r.workload = text("workload");
+      r.signature = next("signature", kCount);
+      r.stage_input_bytes = next("stage_input_bytes", kAmount);
+      r.num_partitions = next("num_partitions", kAmount);
       db.add_oom(std::move(r));
     } else if (tag == "fault") {
       FaultRecord r;
-      r.workload = next_field(ls);
-      r.signature = std::stoull(next_field(ls));
-      r.fetch_retries = std::stoull(next_field(ls));
-      r.refetched_bytes = std::stoull(next_field(ls));
-      r.checksum_failures = std::stoull(next_field(ls));
-      r.node_exclusions = std::stoull(next_field(ls));
+      r.workload = text("workload");
+      r.signature = next("signature", kCount);
+      r.fetch_retries = next("fetch_retries", kCount);
+      r.refetched_bytes = next("refetched_bytes", kCount);
+      r.checksum_failures = next("checksum_failures", kCount);
+      r.node_exclusions = next("node_exclusions", kCount);
       db.add_fault(std::move(r));
     } else if (tag == "stage") {
       StageStructure s;
-      const std::string workload = next_field(ls);
-      s.signature = std::stoull(next_field(ls));
-      s.name = next_field(ls);
-      s.anchor_op = static_cast<engine::OpKind>(std::stoi(next_field(ls)));
-      s.fixed_partitions = next_field(ls) == "1";
-      s.user_fixed = next_field(ls) == "1";
-      s.input_ratio_sum = std::stod(next_field(ls));
-      s.input_ratio_count = std::stoull(next_field(ls));
-      s.dw_sum = std::stod(next_field(ls));
-      s.d_sum = std::stod(next_field(ls));
-      s.dw2_sum = std::stod(next_field(ls));
-      s.dwd_sum = std::stod(next_field(ls));
-      s.fit_count = std::stoull(next_field(ls));
-      const auto order = static_cast<std::size_t>(std::stoull(next_field(ls)));
-      std::string field;
-      while (std::getline(ls, field, '\t')) {
-        if (!field.empty()) s.parents.insert(std::stoull(field));
+      const std::string workload = text("workload");
+      s.signature = next("signature", kCount);
+      s.name = text("name");
+      s.anchor_op = next("anchor_op", [](std::string_view t) {
+        return common::parse_enum(t, engine::OpKind::kUnion);  // last OpKind
+      });
+      s.fixed_partitions = next("fixed_partitions", kFlag);
+      s.user_fixed = next("user_fixed", kFlag);
+      s.input_ratio_sum = next("input_ratio_sum", kNumber);
+      s.input_ratio_count = next("input_ratio_count", kCount);
+      s.dw_sum = next("dw_sum", kNumber);
+      s.d_sum = next("d_sum", kNumber);
+      s.dw2_sum = next("dw2_sum", kNumber);
+      s.dwd_sum = next("dwd_sum", kNumber);
+      s.fit_count = next("fit_count", kCount);
+      // An order whose successor would wrap next_order_ is out of range.
+      const std::size_t order = next("order", [](std::string_view t) {
+        const auto v = common::parse_int<std::size_t>(t);
+        return v && *v < std::numeric_limits<std::size_t>::max() ? v
+                                                                 : std::nullopt;
+      });
+      for (std::string t; std::getline(ls, t, '\t');) {
+        if (!t.empty()) {
+          s.parents.insert(common::require(kCount(t), where, "parent", t));
+        }
       }
       db.add_structure(workload, s);
       // Preserve the original ordering across save/load.
       db.structures_.at(std::make_pair(workload, s.signature)).order = order;
       db.next_order_ = std::max(db.next_order_, order + 1);
     } else {
-      throw std::runtime_error("WorkloadDb: unknown record tag: " + tag);
+      throw common::ParseError(where + ": unknown record tag '" + tag + "'");
     }
   };
+  std::string line;
+  std::size_t line_no = 0;
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
+    const std::string where = path + ":" + std::to_string(line_no);
     if (tolerant) {
       try {
-        parse_line(line);
+        parse_line(line, where);
       } catch (const std::exception& e) {
-        LOG_WARN << "WorkloadDb: skipping corrupt record at " << path << ":"
-                 << line_no << " (" << e.what() << ")";
+        LOG_WARN << "WorkloadDb: skipping corrupt record (" << e.what() << ")";
       }
     } else {
-      parse_line(line);
+      parse_line(line, where);
     }
   }
   return db;

@@ -184,7 +184,9 @@ class WorkloadDb {
 
   // -- persistence ------------------------------------------------------------
   void save(const std::string& path) const;
-  /// Strict mode (default) throws on an unreadable file or corrupt record.
+  /// Strict mode (default) throws on an unreadable file or corrupt record
+  /// (a common::ParseError naming path:line and the field; observations
+  /// must be finite and non-negative, enums in range).
   /// Tolerant mode degrades instead: corrupt records are skipped with a
   /// logged warning, and an unreadable file yields an empty DB — the planner
   /// then simply produces no plan rather than crashing the run.

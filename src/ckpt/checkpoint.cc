@@ -10,6 +10,7 @@
 
 #include "ckpt/blockfile.h"
 #include "common/hash.h"
+#include "common/parse.h"
 #include "obs/jsonl.h"
 
 namespace chopper::ckpt {
@@ -42,13 +43,10 @@ std::optional<std::size_t> latest_wal_epoch(const std::string& dir) {
         name.compare(name.size() - 6, 6, ".jsonl") != 0) {
       continue;
     }
-    const std::string digits = name.substr(4, name.size() - 10);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    const std::size_t epoch = std::stoull(digits);
-    if (!best || epoch > *best) best = epoch;
+    // A name whose middle is not an epoch (e.g. out of range) is ignored.
+    const auto epoch = common::parse_int<std::size_t>(
+        std::string_view(name).substr(4, name.size() - 10));
+    if (epoch && (!best || *epoch > *best)) best = epoch;
   }
   return best;
 }

@@ -37,6 +37,14 @@ struct JobBuild {
   std::unordered_map<std::uint64_t, std::vector<engine::TaskMetrics>> spans;
 };
 
+/// The job-scoped kinds the planner folds into a JobBuild.
+bool is_job_event(obs::EventKind k) noexcept {
+  using K = obs::EventKind;
+  return k == K::kJobSubmit || k == K::kStageStart || k == K::kTaskSpan ||
+         k == K::kShuffleWrite || k == K::kBlockStore || k == K::kStageEnd ||
+         k == K::kJobFinish;
+}
+
 }  // namespace
 
 ResumePlan build_resume_plan(const std::string& dir) {
@@ -53,8 +61,16 @@ ResumePlan build_resume_plan(const std::string& dir) {
   plan.torn_tail_lines = hr.torn_tail_lines();
   plan.skipped_lines = hr.skipped_lines();
 
+  // The engine assigns job ids densely from 0, so a real log never names a
+  // job id at or past its own event count. A larger id (or a missing one,
+  // kNoId) is hostile input that would size the ledger: skip and count it.
   std::map<std::size_t, JobBuild> jobs;
   for (const obs::Event& e : hr.events()) {
+    if (!is_job_event(e.kind)) continue;
+    if (e.job >= hr.events().size()) {
+      ++plan.skipped_lines;
+      continue;
+    }
     const auto jid = static_cast<std::size_t>(e.job);
     switch (e.kind) {
       case obs::EventKind::kJobSubmit:

@@ -36,6 +36,7 @@ struct ResumePlan {
   std::size_t wal_epoch = 0;
   std::size_t events = 0;         ///< events decoded from the WAL
   std::size_t torn_tail_lines = 0;
+  /// Malformed lines plus job events whose job id is out of range.
   std::size_t skipped_lines = 0;
   std::size_t committed_stages = 0;  ///< across all jobs
   std::size_t finished_jobs = 0;

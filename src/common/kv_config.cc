@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace chopper::common {
 
@@ -34,40 +34,11 @@ void KvConfig::set_int(const std::string& key, std::int64_t value) {
   set(key, std::to_string(value));
 }
 
-void KvConfig::set_double(const std::string& key, double value) {
-  std::ostringstream os;
-  os.precision(17);
-  os << value;
-  set(key, os.str());
-}
-
 std::optional<std::string> KvConfig::get(const std::string& key) const {
   for (const auto& [k, v] : entries_) {
     if (k == key) return v;
   }
   return std::nullopt;
-}
-
-std::optional<std::int64_t> KvConfig::get_int(const std::string& key) const {
-  const auto v = get(key);
-  if (!v) return std::nullopt;
-  std::int64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(v->data(), v->data() + v->size(), out);
-  if (ec != std::errc{} || ptr != v->data() + v->size()) return std::nullopt;
-  return out;
-}
-
-std::optional<double> KvConfig::get_double(const std::string& key) const {
-  const auto v = get(key);
-  if (!v) return std::nullopt;
-  try {
-    std::size_t pos = 0;
-    const double out = std::stod(*v, &pos);
-    if (pos != v->size()) return std::nullopt;
-    return out;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
 }
 
 bool KvConfig::contains(const std::string& key) const {
@@ -82,23 +53,16 @@ bool KvConfig::erase(const std::string& key) {
   return true;
 }
 
-std::vector<std::string> KvConfig::keys_with_prefix(
-    const std::string& prefix) const {
-  std::vector<std::string> out;
-  for (const auto& [k, v] : entries_) {
-    if (k.rfind(prefix, 0) == 0) out.push_back(k);
-  }
-  return out;
-}
-
 std::string KvConfig::to_string() const {
   std::ostringstream os;
   for (const auto& [k, v] : entries_) os << k << " = " << v << "\n";
   return os.str();
 }
 
-KvConfig KvConfig::parse(const std::string& text, bool tolerant) {
+KvConfig KvConfig::parse(const std::string& text, bool tolerant,
+                         const std::string& source) {
   KvConfig cfg;
+  cfg.source_ = source;
   std::istringstream is(text);
   std::string line;
   std::size_t line_no = 0;
@@ -108,13 +72,13 @@ KvConfig KvConfig::parse(const std::string& text, bool tolerant) {
     if (t.empty() || t[0] == '#') continue;
     const auto eq = t.find('=');
     if (eq == std::string::npos) {
+      const std::string msg =
+          source + ":" + std::to_string(line_no) + ": malformed line: " + t;
       if (tolerant) {
-        LOG_WARN << "KvConfig: skipping malformed line " << line_no << ": "
-                 << t;
+        LOG_WARN << "KvConfig: skipping " << msg;
         continue;
       }
-      throw std::runtime_error("KvConfig: malformed line " +
-                               std::to_string(line_no) + ": " + t);
+      throw ParseError(msg);
     }
     cfg.set(trim(t.substr(0, eq)), trim(t.substr(eq + 1)));
   }
@@ -139,7 +103,7 @@ KvConfig KvConfig::load(const std::string& path, bool tolerant) {
   }
   std::ostringstream buf;
   buf << is.rdbuf();
-  return parse(buf.str(), tolerant);
+  return parse(buf.str(), tolerant, path);
 }
 
 }  // namespace chopper::common

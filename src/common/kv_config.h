@@ -22,11 +22,9 @@ class KvConfig {
   /// Sets (or overwrites) a key. Insertion order is preserved for new keys.
   void set(const std::string& key, std::string value);
   void set_int(const std::string& key, std::int64_t value);
-  void set_double(const std::string& key, double value);
 
+  /// Raw value; numeric values are read through common/parse.h.
   std::optional<std::string> get(const std::string& key) const;
-  std::optional<std::int64_t> get_int(const std::string& key) const;
-  std::optional<double> get_double(const std::string& key) const;
 
   bool contains(const std::string& key) const;
   bool erase(const std::string& key);
@@ -37,17 +35,18 @@ class KvConfig {
     return entries_;
   }
 
-  /// Keys sharing a prefix, in insertion order.
-  std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
+  /// Where the entries came from (the path, for load()), for error messages.
+  const std::string& source() const noexcept { return source_; }
 
   /// Serialize to `key = value` lines.
   std::string to_string() const;
 
   /// Parse from text. Blank lines and `#...` comments are skipped.
-  /// Strict mode (default) throws std::runtime_error on malformed lines
-  /// (missing '='); tolerant mode logs a warning and skips them instead, so
-  /// one corrupt line cannot take down a whole run.
-  static KvConfig parse(const std::string& text, bool tolerant = false);
+  /// Strict mode (default) throws common::ParseError naming `source` and the
+  /// line on malformed lines (missing '='); tolerant mode logs a warning and
+  /// skips them instead, so one corrupt line cannot take down a whole run.
+  static KvConfig parse(const std::string& text, bool tolerant = false,
+                        const std::string& source = "config");
 
   /// File round-trip. load throws std::runtime_error if unreadable (strict)
   /// or returns an empty config with a logged warning (tolerant).
@@ -56,6 +55,7 @@ class KvConfig {
 
  private:
   std::vector<std::pair<std::string, std::string>> entries_;
+  std::string source_ = "config";
 };
 
 }  // namespace chopper::common

@@ -19,6 +19,13 @@ const char* to_string(PartitionerKind kind) noexcept {
   return "?";
 }
 
+std::optional<PartitionerKind> parse_partitioner(
+    std::string_view name) noexcept {
+  if (name == "hash") return PartitionerKind::kHash;
+  if (name == "range") return PartitionerKind::kRange;
+  return std::nullopt;
+}
+
 void Partitioner::partition_of_batch(const std::uint64_t* keys, std::size_t n,
                                      std::uint32_t* out) const noexcept {
   // Scalar fallback: one virtual dispatch per key.

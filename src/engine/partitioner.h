@@ -13,7 +13,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/record.h"
@@ -23,6 +25,8 @@ namespace chopper::engine {
 enum class PartitionerKind { kHash, kRange };
 
 const char* to_string(PartitionerKind kind) noexcept;
+/// Inverse of to_string: "hash" or "range"; nullopt for anything else.
+std::optional<PartitionerKind> parse_partitioner(std::string_view name) noexcept;
 
 class Partitioner {
  public:

@@ -119,21 +119,6 @@ std::uint64_t ShuffleManager::resident_bytes(std::size_t node) const {
   return b;
 }
 
-std::uint64_t ShuffleManager::spilled_bytes(std::size_t node) const {
-  std::lock_guard lock(mu_);
-  std::uint64_t b = 0;
-  for (const auto& [id, out] : outputs_) {
-    if (out->on_disk.empty()) continue;
-    for (std::size_t m = 0; m < out->num_map_tasks; ++m) {
-      if (out->map_node[m] == node && out->on_disk[m] &&
-          (out->lost.empty() || !out->lost[m])) {
-        b += out->row_bytes(m);
-      }
-    }
-  }
-  return b;
-}
-
 void ShuffleManager::enforce_locked() {
   if (capacity_.empty()) return;
   // Deterministic spill order: ascending shuffle id (oldest output first),

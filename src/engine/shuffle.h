@@ -121,8 +121,6 @@ class ShuffleManager {
 
   /// In-memory (non-spilled, non-lost) row bytes on `node` (raw bytes).
   std::uint64_t resident_bytes(std::size_t node) const;
-  /// Cumulative look at rows currently flagged on_disk on `node` (raw).
-  std::uint64_t spilled_bytes(std::size_t node) const;
 
   std::size_t count() const;
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "common/parse.h"
 #include "obs/jsonl.h"
 
 namespace chopper::obs {
@@ -157,8 +158,8 @@ HistoryReader HistoryReader::load(const std::string& path) {
     }
   }
   if (!saw_header) {
-    throw std::runtime_error("not a chopper event log (missing header): " +
-                             path);
+    throw common::ParseError(path +
+                             ": not a chopper event log (missing header)");
   }
   HistoryReader r(std::move(events));
   r.skipped_ = skipped;

@@ -1,10 +1,13 @@
 #include "obs/jsonl.h"
 
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <string_view>
+
+#include "common/parse.h"
 
 namespace chopper::obs {
 namespace {
@@ -219,12 +222,13 @@ bool parse_string(Cursor& c, std::string* out) {
         case 'f': if (out) *out += '\f'; break;
         case 'u': {
           if (c.end - c.p < 4) return false;
-          char hex[5] = {c.p[0], c.p[1], c.p[2], c.p[3], 0};
+          unsigned code = 0;
+          const auto [ptr, ec] = std::from_chars(c.p, c.p + 4, code, 16);
+          if (ec != std::errc{} || ptr != c.p + 4) return false;
           c.p += 4;
-          const long code = std::strtol(hex, nullptr, 16);
           // We only ever escape control characters; anything else is kept
           // as-is when it fits one byte.
-          if (out && code >= 0 && code < 256) *out += static_cast<char>(code);
+          if (out && code < 256) *out += static_cast<char>(code);
           break;
         }
         default:
@@ -238,8 +242,8 @@ bool parse_string(Cursor& c, std::string* out) {
 }
 
 /// Extract the raw token of a JSON number without losing integer precision:
-/// the caller converts with strtoull/strtoll/strtod as the field demands.
-bool parse_number_token(Cursor& c, std::string* tok) {
+/// read_number converts it as the field demands.
+bool parse_number_token(Cursor& c, std::string_view* tok) {
   c.skip_ws();
   const char* start = c.p;
   if (c.p < c.end && (*c.p == '-' || *c.p == '+')) ++c.p;
@@ -249,8 +253,19 @@ bool parse_number_token(Cursor& c, std::string* tok) {
     ++c.p;
   }
   if (c.p == start) return false;
-  if (tok) tok->assign(start, c.p);
+  if (tok) *tok = std::string_view(start, static_cast<std::size_t>(c.p - start));
   return true;
+}
+
+/// One JSON number into *out: false unless the whole token is a T (integers
+/// in range, unsigned ones without a sign; doubles finite).
+template <typename T>
+bool read_number(Cursor& c, T* out) {
+  std::string_view tok;
+  if (!parse_number_token(c, &tok)) return false;
+  const auto v = common::parse_number<T>(tok);
+  if (v) *out = *v;
+  return v.has_value();
 }
 
 bool parse_u64_list(Cursor& c, std::vector<std::uint64_t>* out) {
@@ -258,9 +273,12 @@ bool parse_u64_list(Cursor& c, std::vector<std::uint64_t>* out) {
   c.skip_ws();
   if (c.eat(']')) return true;
   while (true) {
-    std::string tok;
-    if (!parse_number_token(c, &tok)) return false;
-    if (out) out->push_back(std::strtoull(tok.c_str(), nullptr, 10));
+    // Unknown keys' arrays (out == nullptr) are only tokenized.
+    std::uint64_t v = 0;
+    if (out ? !read_number(c, &v) : !parse_number_token(c, nullptr)) {
+      return false;
+    }
+    if (out) out->push_back(v);
     if (c.eat(']')) return true;
     if (!c.eat(',')) return false;
   }
@@ -316,8 +334,10 @@ bool parse_jsonl_header(const std::string& line) {
   if (pos == std::string::npos) return false;
   const auto colon = line.find(':', pos);
   if (colon == std::string::npos) return false;
-  const unsigned long v = std::strtoul(line.c_str() + colon + 1, nullptr, 10);
-  return v >= 1 && v <= kSchemaVersion;
+  const auto end = line.find_first_of(",}", colon);
+  const auto v = common::parse_int<std::uint32_t>(
+      std::string_view(line).substr(colon + 1, end - colon - 1));
+  return v && *v >= 1 && *v <= kSchemaVersion;
 }
 
 void append_jsonl(const Event& e, std::string& out) {
@@ -395,9 +415,7 @@ std::optional<Event> from_jsonl(const std::string& line, bool* unknown_kind) {
     if (!parse_string(c, &key)) return std::nullopt;
     if (!c.eat(':')) return std::nullopt;
     if (key == "seq") {
-      std::string tok;
-      if (!parse_number_token(c, &tok)) return std::nullopt;
-      e.seq = std::strtoull(tok.c_str(), nullptr, 10);
+      if (!read_number(c, &e.seq)) return std::nullopt;
     } else if (key == "k") {
       std::string name;
       if (!parse_string(c, &name)) return std::nullopt;
@@ -405,26 +423,16 @@ std::optional<Event> from_jsonl(const std::string& line, bool* unknown_kind) {
       have_kind = e.kind != EventKind::kNone;
       saw_kind_key = true;
     } else if (key == "sim") {
-      std::string tok;
-      if (!parse_number_token(c, &tok)) return std::nullopt;
-      e.sim = std::strtod(tok.c_str(), nullptr);
+      if (!read_number(c, &e.sim)) return std::nullopt;
     } else if (key == "wall") {
-      std::string tok;
-      if (!parse_number_token(c, &tok)) return std::nullopt;
-      e.wall = std::strtod(tok.c_str(), nullptr);
+      if (!read_number(c, &e.wall)) return std::nullopt;
     } else if (const FieldDesc* f = find_field(key)) {
       if (f->u64) {
-        std::string tok;
-        if (!parse_number_token(c, &tok)) return std::nullopt;
-        e.*f->u64 = std::strtoull(tok.c_str(), nullptr, 10);
+        if (!read_number(c, &(e.*f->u64))) return std::nullopt;
       } else if (f->i64) {
-        std::string tok;
-        if (!parse_number_token(c, &tok)) return std::nullopt;
-        e.*f->i64 = std::strtoll(tok.c_str(), nullptr, 10);
+        if (!read_number(c, &(e.*f->i64))) return std::nullopt;
       } else if (f->f64) {
-        std::string tok;
-        if (!parse_number_token(c, &tok)) return std::nullopt;
-        e.*f->f64 = std::strtod(tok.c_str(), nullptr);
+        if (!read_number(c, &(e.*f->f64))) return std::nullopt;
       } else if (f->str) {
         if (!parse_string(c, &(e.*f->str))) return std::nullopt;
       } else if (f->list) {

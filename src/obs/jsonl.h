@@ -25,8 +25,10 @@ std::string to_jsonl(const Event& e);
 /// path the JSONL sink uses for its stripe buffers.
 void append_jsonl(const Event& e, std::string& out);
 
-/// Parse one JSONL line. Returns nullopt on malformed JSON or an unknown
-/// event kind (tolerated: the caller skips the line).
+/// Parse one JSONL line. Returns nullopt on malformed JSON, a number that is
+/// not a whole in-range token of its field (a sign or exponent on a count,
+/// nan/inf on a double), or an unknown event kind (tolerated: the caller
+/// skips the line).
 std::optional<Event> from_jsonl(const std::string& line);
 
 /// As above, but distinguishes the two skip reasons: `*unknown_kind` is set

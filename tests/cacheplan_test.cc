@@ -100,44 +100,6 @@ core::Observation default_obs(std::uint64_t signature, double t_exe_s) {
 }
 
 // ---------------------------------------------------------------------------
-// CachePlan config attachment.
-// ---------------------------------------------------------------------------
-
-TEST(CachePlanConfig, RoundTripsThroughKvConfig) {
-  CachePlan plan;
-  plan.decisions.push_back(
-      {11, 0xabcdULL, "hot", CacheAction::kPin, 96.0, 32.0, 3.0, "iter"});
-  plan.decisions.push_back(
-      {12, 0x1234ULL, "cold", CacheAction::kDrop, -0.5, 1.0, 0.0, "scan"});
-  plan.pool_share = {{"iter", 2.0 / 3.0}, {"scan", 1.0 / 3.0}};
-
-  const CachePlan back = CachePlan::from_config(plan.to_config());
-  ASSERT_EQ(back.decisions.size(), 2u);
-  // from_config orders by signature.
-  const CacheDecision& cold = back.decisions.front().signature == 0x1234ULL
-                                  ? back.decisions.front()
-                                  : back.decisions.back();
-  const CacheDecision& hot = back.decisions.front().signature == 0xabcdULL
-                                 ? back.decisions.front()
-                                 : back.decisions.back();
-  EXPECT_EQ(hot.action, CacheAction::kPin);
-  EXPECT_DOUBLE_EQ(hot.priority, 96.0);
-  EXPECT_DOUBLE_EQ(hot.expected_reuse, 3.0);
-  EXPECT_EQ(hot.pool, "iter");
-  EXPECT_EQ(cold.action, CacheAction::kDrop);
-  EXPECT_DOUBLE_EQ(cold.priority, -0.5);
-  EXPECT_EQ(cold.pool, "scan");
-  EXPECT_DOUBLE_EQ(back.pool_share.at("iter"), 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(back.pool_share.at("scan"), 1.0 / 3.0);
-
-  // Partition-plan stage keys share the config file and are ignored
-  // symmetrically (and vice versa for parse_plan_config).
-  common::KvConfig mixed = plan.to_config();
-  mixed.set("stage.777.partitions", "300");
-  EXPECT_EQ(CachePlan::from_config(mixed).decisions.size(), 2u);
-}
-
-// ---------------------------------------------------------------------------
 // Cost-aware victim ordering (BlockManager level).
 // ---------------------------------------------------------------------------
 

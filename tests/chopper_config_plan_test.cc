@@ -5,6 +5,10 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "common/parse.h"
 
 namespace chopper::core {
 namespace {
@@ -24,14 +28,14 @@ TEST(PlanConfig, SerializationFormatMatchesFig6) {
   const auto cfg = plan_to_config(
       {planned(42, engine::PartitionerKind::kRange, 210)});
   EXPECT_EQ(cfg.get("stage.42.partitioner"), "range");
-  EXPECT_EQ(cfg.get_int("stage.42.partitions"), 210);
+  EXPECT_EQ(cfg.get("stage.42.partitions"), "210");
   EXPECT_FALSE(cfg.contains("stage.42.repartition"));
 }
 
 TEST(PlanConfig, RepartitionMarkSerialized) {
   const auto cfg = plan_to_config(
       {planned(7, engine::PartitionerKind::kHash, 100, /*repartition=*/true)});
-  EXPECT_EQ(cfg.get_int("stage.7.repartition"), 1);
+  EXPECT_EQ(cfg.get("stage.7.repartition"), "1");
 }
 
 TEST(PlanConfig, ParseRoundTrip) {
@@ -70,6 +74,32 @@ TEST(PlanConfig, ParseRejectsMalformedCounts) {
       }
     }
   }
+}
+
+TEST(PlanConfig, ParseRejectsBadSignaturesAndEnumsNamingFileAndKey) {
+  const std::string path = ::testing::TempDir() + "/plan_bad_tokens.conf";
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"stage.abc.partitions", "3"},
+           {"stage.-5.partitions", "3"},
+           {"stage.18446744073709551616.partitions", "3"},
+           {"stage.1.partitioner", "rnage"},
+           {"stage.1.partitioner", "Hash"},
+           {"stage.1.repartition", "2"},
+           {"stage.1.repartition", "yes"}}) {
+    common::KvConfig bad;
+    bad.set(key, value);
+    bad.save(path);
+    try {
+      parse_plan_config(common::KvConfig::load(path));
+      ADD_FAILURE() << key << " = " << value << " was accepted";
+    } catch (const common::ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(PlanConfig, ParseAcceptsWholeCounts) {

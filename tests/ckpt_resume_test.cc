@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -310,6 +312,40 @@ TEST(CkptResume, DoubleResumeIsIdempotent) {
   const DriveOut resumed = drive(dir, small_options(), {}, &plan2.ledger);
   EXPECT_FALSE(resumed.crashed);
   EXPECT_GT(resumed.resumed_stages, 0u);
+  expect_same_outcome(resumed, ref);
+}
+
+// A hand-edited WAL whose first job_submit names job -1, no job, or job
+// 10^12 once crashed `resume` (SIGSEGV, SIGSEGV, bad_alloc): the ledger was
+// indexed and sized by the decoded id. Such a line is now a counted skip, and
+// resuming from the plan still reproduces the reference.
+TEST(CkptResume, HostileJobIdsAreSkippedLines) {
+  const DriveOut ref = reference(temp_dir("res_ref4"), small_options());
+  const std::string dir = temp_dir("res_hostile");
+  ASSERT_FALSE(drive(dir, small_options(), {}, nullptr).crashed);
+  const std::string wal_path = ckpt::wal_path(dir, 0);
+  std::string wal;
+  {
+    std::ifstream is(wal_path);
+    wal.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  const std::size_t submit = wal.find("\"k\":\"job_submit\"");
+  ASSERT_NE(submit, std::string::npos);
+  const std::size_t job = wal.find("\"job\":0", submit);
+  ASSERT_NE(job, std::string::npos);
+  for (const std::string replacement :
+       {"\"job\":-1", "\"jbo\":0", "\"job\":1000000000000"}) {
+    std::string hostile = wal;
+    hostile.replace(job, std::strlen("\"job\":0"), replacement);
+    std::ofstream(wal_path, std::ios::trunc) << hostile;
+    ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
+    EXPECT_EQ(plan.skipped_lines, 1u) << replacement;
+    EXPECT_LE(plan.ledger.jobs.size(), plan.events) << replacement;
+  }
+  // The last edit stays on disk: resume from it end to end.
+  ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
+  const DriveOut resumed = drive(dir, small_options(), {}, &plan.ledger);
+  EXPECT_FALSE(resumed.crashed);
   expect_same_outcome(resumed, ref);
 }
 

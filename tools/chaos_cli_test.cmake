@@ -28,3 +28,18 @@ execute_process(COMMAND ${CTL} chaos --runs 0
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "chaos --runs 0: expected exit 2, got ${rc}")
 endif()
+execute_process(COMMAND ${CTL} chaos --seed 1e3 --runs 1 --tiny
+                RESULT_VARIABLE rc ERROR_QUIET OUTPUT_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "chaos --seed 1e3: expected exit 2, got ${rc}")
+endif()
+
+# chaos_fuzz: a bad count, or a sweep of zero seeds, checks nothing and must
+# not pass.
+foreach(bad "--seeds;x" "--seeds;0" "--start;-1" "--seeds;1e3")
+  execute_process(COMMAND ${FUZZ} ${bad} --tiny
+                  RESULT_VARIABLE rc ERROR_QUIET OUTPUT_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "chaos_fuzz ${bad}: expected exit 2, got ${rc}")
+  endif()
+endforeach()

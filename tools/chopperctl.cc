@@ -82,6 +82,7 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/resume.h"
 #include "common/logging.h"
+#include "common/parse.h"
 #include "harness.h"
 #include "obs/chrome_trace.h"
 #include "obs/event_log.h"
@@ -94,7 +95,7 @@ using namespace chopper;
 namespace {
 
 /// Bad flag value: main prints the usage block naming the offending flag
-/// and exits 2 (instead of std::stod's raw std::invalid_argument crash).
+/// and exits 2.
 class UsageError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -192,31 +193,16 @@ void print_usage(std::FILE* out, const std::string& cmd = "") {
   }
 }
 
-/// Guarded numeric flag parsing shared by every subcommand: the whole string
-/// must parse (no trailing characters), and integral T additionally requires
-/// a non-negative integer. Anything else throws UsageError naming the flag —
-/// main prints the usage block and exits 2.
+/// Numeric flag parsing shared by every subcommand, through common/parse.h:
+/// integral T takes a whole non-negative decimal integer (no sign, exponent
+/// or fraction), double a whole finite number. Anything else throws
+/// UsageError naming the flag — main prints the usage block and exits 2.
 template <typename T>
 T parse_flag(const std::string& key, const std::string& raw) {
+  if (const auto v = common::parse_number<T>(raw)) return *v;
   constexpr const char* noun = std::is_integral_v<T> ? "count" : "number";
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(raw, &pos);
-    if (pos != raw.size()) {
-      throw std::invalid_argument("trailing characters");
-    }
-    if constexpr (std::is_integral_v<T>) {
-      if (v < 0.0 || v != static_cast<double>(static_cast<T>(v))) {
-        throw std::invalid_argument("not a non-negative integer");
-      }
-    }
-    return static_cast<T>(v);
-  } catch (const UsageError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw UsageError(std::string("invalid ") + noun + " for --" + key + ": '" +
-                     raw + "'");
-  }
+  throw UsageError(std::string("invalid ") + noun + " for --" + key + ": '" +
+                   raw + "'");
 }
 
 struct Args {
@@ -1094,37 +1080,7 @@ int cmd_chaos(const Args& args) {
 
   std::printf("chaos: %zu trial(s) from seed %zu%s\n", runs, start,
               tiny ? " (tiny graphs)" : "");
-  bench::Table table({"seed", "workload", "flaky", "corrupt", "nodefail",
-                      "oom", "base(s)", "faulty(s)", "retries", "cksum",
-                      "excl", "verdict"});
-  std::size_t failures = 0;
-  for (std::size_t i = 0; i < runs; ++i) {
-    const bench::ChaosReport r = bench::chaos_run(start + i, tiny);
-    if (!r.ok) {
-      ++failures;
-      std::fprintf(stderr, "seed %llu (%s): %s\n",
-                   static_cast<unsigned long long>(r.seed),
-                   r.workload.c_str(), r.failure.c_str());
-    }
-    table.add_row({std::to_string(r.seed), r.workload,
-                   std::to_string(r.flaky_nodes),
-                   std::to_string(r.corruptions),
-                   std::to_string(r.node_failures),
-                   std::to_string(r.oom_injections),
-                   bench::Table::num(r.baseline_s, 2),
-                   bench::Table::num(r.faulty_s, 2),
-                   std::to_string(r.fetch_retries),
-                   std::to_string(r.checksum_failures),
-                   std::to_string(r.node_exclusions),
-                   r.ok ? "ok" : "FAIL: " + r.failure});
-  }
-  table.print();
-  std::printf("%zu/%zu trials bit-identical with replay parity\n",
-              runs - failures, runs);
-  if (args.has("json") && !table.write_json(args.get("json"), "chaos")) {
-    return 1;
-  }
-  return failures == 0 ? 0 : 1;
+  return bench::chaos_sweep(start, runs, tiny, args.get("json"), "chaos");
 }
 
 int cmd_history(const Args& args) {
