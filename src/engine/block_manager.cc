@@ -33,6 +33,12 @@ bool BlockManager::contains(std::size_t dataset_id) const {
   return cache_.count(dataset_id) > 0;
 }
 
+std::size_t BlockManager::num_partitions(std::size_t dataset_id) const {
+  std::lock_guard lock(mu_);
+  const auto it = cache_.find(dataset_id);
+  return it == cache_.end() ? 0 : it->second.data->partitions.size();
+}
+
 void BlockManager::touch_locked(std::size_t dataset_id) const {
   const auto it = cache_.find(dataset_id);
   if (it != cache_.end()) {

@@ -138,6 +138,10 @@ class BlockManager {
 
   void put(std::size_t dataset_id, CachedDataset data);
   bool contains(std::size_t dataset_id) const;
+  /// Partition count of a cached dataset (0 when absent). Unlike pin() and
+  /// get() it leaves the LRU order untouched, so a read-only probe cannot
+  /// change which dataset a later eviction picks.
+  std::size_t num_partitions(std::size_t dataset_id) const;
   /// INTERNAL USE ONLY (BlockManager-adjacent bookkeeping and tests).
   /// Lifetime contract: the returned pointer is owned by the manager and is
   /// freed by remove()/clear() and — under an armed budget — by a concurrent

@@ -16,6 +16,26 @@ double StageMetrics::task_skew() const {
   return mean > 0.0 ? mx / mean : 1.0;
 }
 
+void JobMetrics::fold_stage(const StageMetrics& sm) {
+  stage_attempts += sm.attempt_count;
+  recomputed_tasks += sm.recomputed_tasks;
+  recomputed_bytes += sm.recomputed_bytes;
+  recovery_time_s += sm.recovery_time_s;
+  fetch_retries += sm.fetch_retries;
+  refetched_bytes += sm.refetched_bytes;
+  checksum_failures += sm.checksum_failures;
+  node_exclusions += sm.node_exclusions;
+  oom_count += sm.oom_count;
+  evicted_bytes += sm.evicted_bytes;
+  spilled_bytes += sm.spilled_bytes;
+  peak_resident_bytes = std::max(peak_resident_bytes, sm.peak_resident_bytes);
+  cache_hits += sm.cache_hits;
+  cache_misses += sm.cache_misses;
+  recompute_saved_bytes += sm.recompute_saved_bytes;
+  evictions_lru += sm.evictions_lru;
+  evictions_cost += sm.evictions_cost;
+}
+
 void ResourceTimeline::ensure(double t_end) const {
   const auto need = static_cast<std::size_t>(std::ceil(t_end)) + 1;
   if (cpu_busy_s_.size() < need) {

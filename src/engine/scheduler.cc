@@ -44,6 +44,7 @@
 #include "engine/engine.h"
 #include "engine/resume.h"
 #include "obs/event_log.h"
+#include "obs/history.h"
 
 namespace chopper::engine {
 
@@ -390,12 +391,46 @@ class JobRunner {
   void execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a);
   void commit_attempt(std::size_t s, StageMetrics& sm, Attempt& a);
   /// Checkpoint resume (DESIGN.md §16): adopt this job's committed-stage
-  /// prefix from the engine's ResumeLedger — re-register restored shuffles,
-  /// cached blocks and result partitions, replay metrics rows and event
-  /// history, fast-forward the virtual clock — and return the plan index of
+  /// prefix from the engine's ResumeLedger through the same commit steps a
+  /// live attempt uses (below) — re-register restored shuffles, cached
+  /// blocks and result partitions, re-emit their events, replay the metrics
+  /// rows, fast-forward the virtual clock — and return the plan index of
   /// the first stage still to execute. Returns 0 (run everything) whenever
   /// adoption would not be provably bit-identical to a cold rerun.
   std::size_t adopt_restored();
+  /// The task count stage s's first attempt runs with, for the stage-start
+  /// event: the source split count, the cached input's block count (read
+  /// without touching the LRU order) or the shuffle partitioner's P (0
+  /// while the input is not materialized).
+  std::size_t planned_tasks(std::size_t s);
+  /// Datasets stage s materializes into the block store, in commit order:
+  /// the anchor first (unless the stage reads it from the cache), then its
+  /// cached narrow ops, skipping any already materialized or in `pending`
+  /// (ids an earlier stage of the adopted prefix commits).
+  std::vector<const Dataset*> cache_commit_order(
+      std::size_t s, const std::unordered_set<std::size_t>& pending = {}) const;
+
+  // Commit steps, shared by commit_attempt/run_stage and adopt_restored so
+  // that each publish exists once. The emit_* helpers expect tracing().
+  void emit_stage_start(std::size_t s, const StageMetrics& sm,
+                        std::size_t num_tasks) const;
+  void emit_cache_hit(std::size_t s, const StageMetrics& sm,
+                      std::size_t attempt, std::size_t hits,
+                      std::uint64_t saved) const;
+  /// Publish one cached dataset (`ordinal`: its index in the stage's
+  /// cache-commit order, the checkpoint key).
+  void commit_cache(std::size_t s, const StageMetrics& sm,
+                    std::size_t ordinal, const Dataset* ds, CachedDataset cd);
+  void publish_shuffle(std::size_t s, const StageMetrics& sm,
+                       std::size_t consumer, ShuffleOutput so);
+  /// Fold the result stage's output partitions into the JobResult; clears
+  /// `parts`.
+  void commit_result(std::size_t s, const StageMetrics& sm,
+                     std::vector<Partition>& parts);
+  void release_consumed_shuffles(std::size_t s);
+  /// Fold the committed row into the job, emit its task spans and
+  /// kStageEnd, and register it.
+  void finish_stage(std::size_t s, StageMetrics sm);
   Partition read_stage_input(std::size_t s, std::size_t p, std::size_t dst,
                              const CachedDataset* cached,
                              const std::vector<ShuffleOutput*>& parents,
@@ -403,6 +438,24 @@ class JobRunner {
   double price_task(const TaskWork& tw, double extra_units, std::size_t n,
                     double fetch_share, double* fetch_out, double* compute_out,
                     double* spill_out = nullptr) const;
+  /// Earliest-free-slot list scheduling onto the simulated cluster: task i,
+  /// in order, takes the earliest-free core slot of nodes[i] for
+  /// durations[i]. Fills each task's start, end and slot; returns the
+  /// makespan.
+  double list_schedule(const std::vector<std::size_t>& nodes,
+                       const std::vector<double>& durations,
+                       std::vector<double>& starts, std::vector<double>& ends,
+                       std::vector<std::size_t>& slots) const;
+  /// Write map task m's bucket row of `so` (empty: freshly sized, or
+  /// dropped when the row was lost) from its output `out` for consumer
+  /// `cplan` (phase 2, lineage replay, re-bucketing). A
+  /// passthrough row moves (`may_move`) or copies `out` whole; otherwise it
+  /// is scattered (map-side combined for reduceByKey) and, when
+  /// `may_move`, an uncombined `out` is released. Returns the bucketing
+  /// work units to charge.
+  double write_map_row(ShuffleOutput& so, std::size_t m,
+                       const StagePlan& cplan, Partition& out,
+                       bool may_move) const;
 
   // Memory machinery (DESIGN.md §11).
   /// Scan a priced attempt for the first task to die of OOM (enforced
@@ -448,9 +501,6 @@ class JobRunner {
   void recover_stage_inputs(std::size_t s, StageMetrics& sm);
   void recover_map_tasks(std::size_t producer, StageMetrics& sm);
   void recover_cached_blocks(const Dataset* anchor, StageMetrics& sm);
-  void replay_bucket_row(ShuffleOutput& so, std::size_t m,
-                         const StagePlan& cplan, const Partition& out,
-                         TaskWork& tw);
   void price_recovery(const std::vector<std::size_t>& nodes,
                       const std::vector<TaskWork>& works, StageMetrics& sm);
 
@@ -470,9 +520,6 @@ class JobRunner {
     eng_.event_log_->emit(std::move(e));
   }
   void emit(obs::Event e) const { emit_at(now(), std::move(e)); }
-  void emit_job_finish(const JobMetrics& jm) const;
-  void emit_stage_end(std::size_t s, const StageMetrics& sm,
-                      const Attempt& a) const;
 
   Engine& eng_;
   Engine::JobContext& ctx_;
@@ -514,7 +561,7 @@ JobResult JobRunner::run() {
     job_metrics_.error = e.what();
     job_metrics_.sim_time_s = now() - job_sim_start;
     job_metrics_.wall_time_s = seconds_since(job_t0);
-    if (tracing()) emit_job_finish(job_metrics_);
+    if (tracing()) emit(obs::job_to_event(job_metrics_));
     eng_.metrics_.add_job(std::move(job_metrics_));
     throw;
   }
@@ -527,7 +574,7 @@ JobResult JobRunner::run() {
   job_metrics_.sim_time_s = now() - job_sim_start;
   job_metrics_.wall_time_s = seconds_since(job_t0);
   static_cast<JobMetrics&>(ctx_.result) = job_metrics_;
-  if (tracing()) emit_job_finish(job_metrics_);
+  if (tracing()) emit(obs::job_to_event(job_metrics_));
   eng_.metrics_.add_job(std::move(job_metrics_));
   return std::move(ctx_.result);
 }
@@ -553,6 +600,7 @@ std::size_t JobRunner::adopt_restored() {
   // Reject anything that is not provably a clean prefix of THIS plan; the
   // caller then re-executes from stage 0, which the determinism contract
   // (bench/chaos_fuzz) guarantees is bit-identical to the original run.
+  std::vector<std::vector<const Dataset*>> to_cache(k);
   std::unordered_set<std::size_t> cached_sim;  // ids cached by earlier stages
   for (std::size_t s = 0; s < k; ++s) {
     const StageRestore& sr = jr.stages[s];
@@ -579,37 +627,28 @@ std::size_t JobRunner::adopt_restored() {
     for (std::size_t ci = 0; ci < sr.shuffles.size(); ++ci) {
       if (sr.shuffles[ci].consumer != plan.consumers[ci]) return 0;
       if (sr.shuffles[ci].so.buckets.size() != row.tasks.size()) return 0;
+      if (!sr.shuffles[ci].so.partitioner) return 0;
     }
-    // Cache commits must line up with the commit order execute_attempt
-    // would produce: anchor first (unless the stage reads it), then narrow
-    // ops, skipping datasets already materialized by earlier stages.
-    std::vector<const Dataset*> to_cache;
-    const auto needs_cache = [&](const Dataset* ds) {
-      return ds->cached() && !eng_.block_manager_.contains(ds->id()) &&
-             cached_sim.count(ds->id()) == 0;
-    };
-    if (plan.input != StageInputKind::kCache && needs_cache(plan.anchor)) {
-      to_cache.push_back(plan.anchor);
-    }
-    for (const auto* op : plan.narrow_ops) {
-      if (needs_cache(op)) to_cache.push_back(op);
-    }
-    if (sr.caches.size() != to_cache.size()) return 0;
+    // Cache commits must line up with the commit order the live attempt
+    // produced.
+    to_cache[s] = cache_commit_order(s, cached_sim);
+    if (sr.caches.size() != to_cache[s].size()) return 0;
     for (std::size_t i = 0; i < sr.caches.size(); ++i) {
       if (sr.caches[i].ordinal != i) return 0;
       if (sr.caches[i].cd.partitions.size() != row.tasks.size()) return 0;
     }
-    for (const auto* ds : to_cache) cached_sim.insert(ds->id());
+    for (const auto* ds : to_cache[s]) cached_sim.insert(ds->id());
     if (plan.is_result && !sr.has_result) return 0;
   }
 
-  // ---- adoption pass -----------------------------------------------------
+  // ---- adoption pass: replay each stage's commit -------------------------
+  // The commit steps also re-persist every payload into the NEW checkpoint
+  // epoch, so a second crash during the resumed run can itself be resumed.
   const auto t0 = Clock::now();
   std::uint64_t restored_bytes = 0;
   for (std::size_t s = 0; s < k; ++s) {
     StageRestore& sr = jr.stages[s];
     StageMetrics& row = sr.row;
-    const StagePlan& plan = ctx_.plan.stages[s];
     auto& rt = ctx_.rt[s];
 
     // Keep the engine-global stage-id counter exactly where the original
@@ -623,152 +662,40 @@ std::size_t JobRunner::adopt_restored() {
       rt.task_node[p] = row.tasks[p].node;
     }
 
-    // Replay event history at the original sim stamps: stage entry events
-    // at sim_start_s, the closing records after the makespan advance.
+    // Entry events at the original sim stamp, the closing records after
+    // the makespan advance — where the live stage emitted them.
     set_now(row.sim_start_s);
     if (tracing()) {
-      obs::Event e;
-      e.kind = obs::EventKind::kStageStart;
-      e.job = ctx_.job_id;
-      e.stage = row.stage_id;
-      e.plan_index = s;
-      e.signature = row.signature;
-      e.name = row.name;
-      if (row.is_shuffle_map) e.flags |= obs::kFlagShuffleMap;
-      e.num_partitions = rt.num_tasks;
-      emit(std::move(e));
-    }
-
-    // Re-commit cached datasets under this process's dataset ids (matched
-    // by commit ordinal — the walk below reproduces execute_attempt's
-    // to_cache order, validated above).
-    std::vector<const Dataset*> to_cache;
-    const auto needs_cache = [&](const Dataset* ds) {
-      return ds->cached() && !eng_.block_manager_.contains(ds->id());
-    };
-    if (plan.input != StageInputKind::kCache && needs_cache(plan.anchor)) {
-      to_cache.push_back(plan.anchor);
-    }
-    for (const auto* op : plan.narrow_ops) {
-      if (needs_cache(op)) to_cache.push_back(op);
+      emit_stage_start(s, row, rt.num_tasks);
+      if (row.cache_hits > 0) {
+        emit_cache_hit(s, row, 1, row.cache_hits, row.recompute_saved_bytes);
+      }
     }
     for (RestoredCache& rc : sr.caches) {
-      const Dataset* ds = to_cache[rc.ordinal];
-      CachedDataset cd = std::move(rc.cd);
-      cd.lineage = const_cast<Dataset*>(ds)->shared_from_this();
-      restored_bytes += cd.bytes;
-      if (cd.partitioner) {
-        ctx_.partitioner_cache.emplace(
-            std::make_pair(cd.partitioner->kind(),
-                           cd.partitioner->num_partitions()),
-            cd.partitioner);
-      }
-      if (tracing()) {
-        obs::Event e;
-        e.kind = obs::EventKind::kBlockStore;
-        e.job = ctx_.job_id;
-        e.stage = row.stage_id;
-        e.dataset = ds->id();
-        e.name = ds->label();
-        e.bytes = cd.bytes;
-        e.count = cd.partitions.size();
-        emit(std::move(e));
-      }
-      // Re-persist into the NEW checkpoint epoch so a second crash during
-      // the resumed run can itself be resumed (double-resume idempotence).
-      if (eng_.ckpt_hook_ != nullptr) {
-        eng_.ckpt_hook_->on_cache_committed(ctx_.job_id, s, rc.ordinal, cd);
-      }
-      eng_.block_manager_.put(ds->id(), std::move(cd));
+      restored_bytes += rc.cd.bytes;
+      commit_cache(s, row, rc.ordinal, to_cache[s][rc.ordinal],
+                   std::move(rc.cd));
     }
-
-    // Re-register restored shuffle publications under fresh ids.
     for (RestoredShuffle& rs : sr.shuffles) {
-      ShuffleOutput so = std::move(rs.so);
-      so.shuffle_id = eng_.shuffles_.next_id();
+      restored_bytes += rs.so.total_bytes;
+      // A live attempt built the consumer's partitioner through the job's
+      // co-partition cache; a restored shuffle installs its own, so later
+      // stages reuse it (range bounds included) exactly as the original
+      // run did instead of re-sampling.
+      const auto& part = rs.so.partitioner;
       auto& crt = ctx_.rt[rs.consumer];
-      crt.shuffle_from_producer.emplace(s, so.shuffle_id);
-      rt.written.push_back({so.shuffle_id, rs.consumer});
-      ctx_.job_shuffle_ids.push_back(so.shuffle_id);
-      restored_bytes += so.total_bytes;
-      if (!crt.partitioner) crt.partitioner = so.partitioner;
-      if (so.partitioner) {
-        // Seed the co-partition cache so later stages that would have
-        // reused this partitioner in the original run reuse the restored
-        // one (range bounds included) instead of re-sampling.
-        ctx_.partitioner_cache.emplace(
-            std::make_pair(so.partitioner->kind(),
-                           so.partitioner->num_partitions()),
-            so.partitioner);
-      }
-      if (tracing()) {
-        obs::Event e;
-        e.kind = obs::EventKind::kShuffleWrite;
-        e.job = ctx_.job_id;
-        e.stage = row.stage_id;
-        e.plan_index = rs.consumer;
-        e.shuffle = so.shuffle_id;
-        e.bytes = so.total_bytes;
-        e.count = so.num_map_tasks;
-        e.num_partitions = so.partitioner ? so.partitioner->num_partitions()
-                                          : crt.num_tasks;
-        if (so.passthrough) e.flags |= obs::kFlagPassthrough;
-        emit(std::move(e));
-      }
-      if (eng_.ckpt_hook_ != nullptr) {
-        eng_.ckpt_hook_->on_shuffle_committed(ctx_.job_id, s, rs.consumer, so);
-      }
-      eng_.shuffles_.put(std::move(so));
+      if (!crt.partitioner) crt.partitioner = part;
+      ctx_.partitioner_cache.emplace(
+          std::make_pair(part->kind(), part->num_partitions()), part);
+      publish_shuffle(s, row, rs.consumer, std::move(rs.so));
     }
-
-    // Result stage: fold the restored output into the JobResult exactly
-    // like commit_attempt does.
-    if (plan.is_result && sr.has_result) {
-      if (ctx_.collect_records) {
-        collect_records(sr.result_parts, ctx_.result.records);
-      }
-      for (const auto& tm : row.tasks) ctx_.result.count += tm.records_out;
-      for (const auto& part : sr.result_parts) restored_bytes += part.bytes();
-      if (eng_.ckpt_hook_ != nullptr) {
-        eng_.ckpt_hook_->on_result_committed(ctx_.job_id, s, sr.result_parts);
-      }
-    }
-
-    // Adopted consumers already consumed their parent shuffles in the
-    // original run: mirror commit_attempt's classic-mode release.
-    if (plan.input == StageInputKind::kShuffle) {
-      for (const std::size_t parent : plan.parent_stages) {
-        const auto it = rt.shuffle_from_producer.find(parent);
-        if (it != rt.shuffle_from_producer.end()) {
-          eng_.shuffles_.remove(it->second);
-          rt.shuffle_from_producer.erase(it);
-        }
-      }
-    }
-
-    // Fast-forward the virtual clock through the stage's makespan and
-    // replay its metrics row (registry + job aggregates) bit-for-bit.
     set_now(row.sim_start_s + row.sim_time_s);
-    job_metrics_.stage_attempts += row.attempt_count;
-    job_metrics_.recomputed_tasks += row.recomputed_tasks;
-    job_metrics_.recomputed_bytes += row.recomputed_bytes;
-    job_metrics_.recovery_time_s += row.recovery_time_s;
-    job_metrics_.fetch_retries += row.fetch_retries;
-    job_metrics_.refetched_bytes += row.refetched_bytes;
-    job_metrics_.checksum_failures += row.checksum_failures;
-    job_metrics_.node_exclusions += row.node_exclusions;
-    job_metrics_.oom_count += row.oom_count;
-    job_metrics_.evicted_bytes += row.evicted_bytes;
-    job_metrics_.spilled_bytes += row.spilled_bytes;
-    job_metrics_.peak_resident_bytes =
-        std::max(job_metrics_.peak_resident_bytes, row.peak_resident_bytes);
-    job_metrics_.cache_hits += row.cache_hits;
-    job_metrics_.cache_misses += row.cache_misses;
-    job_metrics_.recompute_saved_bytes += row.recompute_saved_bytes;
-    job_metrics_.evictions_lru += row.evictions_lru;
-    job_metrics_.evictions_cost += row.evictions_cost;
-    if (tracing()) emit_stage_end(s, row, Attempt{});
-    eng_.metrics_.add_stage(std::move(row));
+    if (ctx_.plan.stages[s].is_result && sr.has_result) {
+      for (const auto& part : sr.result_parts) restored_bytes += part.bytes();
+      commit_result(s, row, sr.result_parts);
+    }
+    release_consumed_shuffles(s);
+    finish_stage(s, std::move(row));
   }
 
   job_metrics_.resumed_stages = k;
@@ -789,122 +716,178 @@ std::size_t JobRunner::adopt_restored() {
   return k;
 }
 
-void JobRunner::emit_job_finish(const JobMetrics& jm) const {
-  obs::Event e;
-  e.kind = obs::EventKind::kJobFinish;
-  e.job = jm.job_id;
-  e.name = jm.name;
-  e.sim_time_s = jm.sim_time_s;
-  e.wall_time_s = jm.wall_time_s;
-  e.list.assign(jm.stage_ids.begin(), jm.stage_ids.end());
-  if (jm.failed) e.flags |= obs::kFlagFailed;
-  e.detail = jm.error;
-  e.stage_attempts = jm.stage_attempts;
-  e.recomputed_tasks = jm.recomputed_tasks;
-  e.lost_bytes = jm.lost_bytes;
-  e.recomputed_bytes = jm.recomputed_bytes;
-  e.recovery_time_s = jm.recovery_time_s;
-  e.fetch_retries = jm.fetch_retries;
-  e.refetched_bytes = jm.refetched_bytes;
-  e.checksum_failures = jm.checksum_failures;
-  e.node_exclusions = jm.node_exclusions;
-  e.oom_count = jm.oom_count;
-  e.evicted_bytes = jm.evicted_bytes;
-  e.spilled_bytes = jm.spilled_bytes;
-  e.peak_resident_bytes = jm.peak_resident_bytes;
-  e.resumed_stages = jm.resumed_stages;
-  e.replayed_events = jm.replayed_events;
-  e.restored_bytes = jm.restored_bytes;
-  e.recovery_wall_s = jm.recovery_wall_s;
-  e.cache_hits = jm.cache_hits;
-  e.cache_misses = jm.cache_misses;
-  e.recompute_saved_bytes = jm.recompute_saved_bytes;
-  e.evictions_lru = jm.evictions_lru;
-  e.evictions_cost = jm.evictions_cost;
-  emit(std::move(e));
+std::size_t JobRunner::planned_tasks(std::size_t s) {
+  const StagePlan& plan = ctx_.plan.stages[s];
+  switch (plan.input) {
+    case StageInputKind::kSource:
+      return resolve_scheme(ctx_, s, eng_.plan_provider_.get(),
+                            eng_.options_.default_parallelism)
+          .num_partitions;
+    case StageInputKind::kCache:
+      return eng_.block_manager_.num_partitions(plan.anchor->id());
+    case StageInputKind::kShuffle:
+      // The partitioner was built when the first producer wrote; producers
+      // precede us in topological order.
+      return ctx_.rt[s].partitioner ? ctx_.rt[s].partitioner->num_partitions()
+                                    : 0;
+  }
+  return 0;
 }
 
-void JobRunner::emit_stage_end(std::size_t s, const StageMetrics& sm,
-                               const Attempt& a) const {
-  // One span per committed task. Span times are stage-window-relative (the
-  // exporter and replay add sim_start_s); fields mirror TaskMetrics exactly
-  // so replay is bit-identical.
-  for (std::size_t p = 0; p < sm.tasks.size(); ++p) {
-    const TaskMetrics& tm = sm.tasks[p];
-    obs::Event e;
-    e.kind = obs::EventKind::kTaskSpan;
-    e.job = sm.job_id;
-    e.stage = sm.stage_id;
-    e.plan_index = s;
-    e.task = tm.task_index;
-    e.node = tm.node;
-    e.slot = p < a.slots.size() ? a.slots[p] : 0;
-    e.attempt = tm.attempts;
-    e.fetch_retries = tm.fetch_retries;
-    e.t_start = tm.sim_start;
-    e.t_end = tm.sim_end;
-    e.compute_s = tm.compute_s;
-    e.fetch_s = tm.fetch_s;
-    e.records_in = tm.records_in;
-    e.records_out = tm.records_out;
-    e.bytes_in = tm.bytes_in;
-    e.bytes_out = tm.bytes_out;
-    e.shuffle_read_remote = tm.shuffle_read_remote;
-    e.shuffle_read_local = tm.shuffle_read_local;
-    if (tm.shuffle_read_remote > 0) e.flags |= obs::kFlagRemoteFetch;
-    if (tm.shuffle_read_local > 0) e.flags |= obs::kFlagLocalFetch;
-    if (p < a.spill_modeled.size() && a.spill_modeled[p] > 0.0) {
-      e.flags |= obs::kFlagSpilled;
-      e.spilled_bytes = static_cast<std::uint64_t>(a.spill_modeled[p]);
-    }
-    emit(std::move(e));
+std::vector<const Dataset*> JobRunner::cache_commit_order(
+    std::size_t s, const std::unordered_set<std::size_t>& pending) const {
+  const StagePlan& plan = ctx_.plan.stages[s];
+  const auto needs_cache = [&](const Dataset* ds) {
+    return ds->cached() && !eng_.block_manager_.contains(ds->id()) &&
+           pending.count(ds->id()) == 0;
+  };
+  std::vector<const Dataset*> order;
+  if (plan.input != StageInputKind::kCache && needs_cache(plan.anchor)) {
+    order.push_back(plan.anchor);
   }
+  for (const auto* op : plan.narrow_ops) {
+    if (needs_cache(op)) order.push_back(op);
+  }
+  return order;
+}
 
-  // The closing stage record carries every scalar StageMetrics field, so a
-  // HistoryReader can rebuild the row without the live run.
+void JobRunner::emit_stage_start(std::size_t s, const StageMetrics& sm,
+                                 std::size_t num_tasks) const {
   obs::Event e;
-  e.kind = obs::EventKind::kStageEnd;
-  e.job = sm.job_id;
+  e.kind = obs::EventKind::kStageStart;
+  e.job = ctx_.job_id;
   e.stage = sm.stage_id;
   e.plan_index = s;
   e.signature = sm.signature;
   e.name = sm.name;
   if (sm.is_shuffle_map) e.flags |= obs::kFlagShuffleMap;
-  if (sm.fixed_partitions) e.flags |= obs::kFlagFixedPartitions;
-  if (sm.user_fixed) e.flags |= obs::kFlagUserFixed;
-  e.num_partitions = sm.num_partitions;
-  e.partitioner = static_cast<std::uint64_t>(sm.partitioner);
-  e.anchor_op = static_cast<std::uint64_t>(sm.anchor_op);
-  e.list = sm.parent_signatures;
-  e.records_in = sm.input_records;
-  e.bytes_in = sm.input_bytes;
-  e.records_out = sm.output_records;
-  e.bytes_out = sm.output_bytes;
-  e.shuffle_read_bytes = sm.shuffle_read_bytes;
-  e.shuffle_write_bytes = sm.shuffle_write_bytes;
-  e.attempt = sm.attempt_count;
-  e.recomputed_tasks = sm.recomputed_tasks;
-  e.recomputed_bytes = sm.recomputed_bytes;
-  e.recovery_time_s = sm.recovery_time_s;
-  e.fetch_retries = sm.fetch_retries;
-  e.refetched_bytes = sm.refetched_bytes;
-  e.checksum_failures = sm.checksum_failures;
-  e.node_exclusions = sm.node_exclusions;
-  e.oom_count = sm.oom_count;
-  e.list2.assign(sm.oomed_partition_counts.begin(),
-                 sm.oomed_partition_counts.end());
-  e.evicted_bytes = sm.evicted_bytes;
-  e.spilled_bytes = sm.spilled_bytes;
-  e.peak_resident_bytes = sm.peak_resident_bytes;
-  e.cache_hits = sm.cache_hits;
-  e.cache_misses = sm.cache_misses;
-  e.recompute_saved_bytes = sm.recompute_saved_bytes;
-  e.evictions_lru = sm.evictions_lru;
-  e.evictions_cost = sm.evictions_cost;
-  e.sim_time_s = sm.sim_time_s;
-  e.sim_start_s = sm.sim_start_s;
-  e.wall_time_s = sm.wall_time_s;
+  e.num_partitions = num_tasks;
   emit(std::move(e));
+}
+
+void JobRunner::emit_cache_hit(std::size_t s, const StageMetrics& sm,
+                               std::size_t attempt, std::size_t hits,
+                               std::uint64_t saved) const {
+  const Dataset* anchor = ctx_.plan.stages[s].anchor;
+  obs::Event e;
+  e.kind = obs::EventKind::kCacheHit;
+  e.job = ctx_.job_id;
+  e.stage = sm.stage_id;
+  e.plan_index = s;
+  e.attempt = attempt;
+  e.dataset = anchor->id();
+  e.name = anchor->label();
+  e.count = hits;
+  e.bytes = saved;
+  emit(std::move(e));
+}
+
+void JobRunner::commit_cache(std::size_t s, const StageMetrics& sm,
+                             std::size_t ordinal, const Dataset* ds,
+                             CachedDataset cd) {
+  // Keep the lineage DAG alive so lost blocks can be recomputed after a
+  // node failure, even if the user drops their dataset handle.
+  cd.lineage = const_cast<Dataset*>(ds)->shared_from_this();
+  if (integrity_) {
+    // Record the clean sums first; an armed corruption then flips a byte
+    // silently, to be caught by verify_cache_sums at the next read.
+    cd.sums.resize(cd.partitions.size());
+    for (std::size_t p = 0; p < cd.partitions.size(); ++p) {
+      cd.sums[p] = cd.partitions[p].checksum();
+    }
+    fire_cache_corruption(ds->id(), cd);
+  }
+  if (tracing()) {
+    obs::Event e;
+    e.kind = obs::EventKind::kBlockStore;
+    e.job = ctx_.job_id;
+    e.stage = sm.stage_id;
+    e.dataset = ds->id();
+    e.name = ds->label();
+    e.bytes = cd.bytes;
+    e.count = cd.partitions.size();
+    emit(std::move(e));
+  }
+  // Persist before publishing: the hook writes the block file now, the
+  // kStageEnd WAL line that marks it committed is only emitted by
+  // finish_stage.
+  if (eng_.ckpt_hook_ != nullptr) {
+    eng_.ckpt_hook_->on_cache_committed(ctx_.job_id, s, ordinal, cd);
+  }
+  eng_.block_manager_.put(ds->id(), std::move(cd));
+}
+
+void JobRunner::publish_shuffle(std::size_t s, const StageMetrics& sm,
+                                std::size_t consumer, ShuffleOutput so) {
+  if (integrity_) {
+    so.record_row_sums();
+    fire_shuffle_corruption(sm.stage_id, so);
+  }
+  so.shuffle_id = eng_.shuffles_.next_id();
+  auto& crt = ctx_.rt[consumer];
+  crt.shuffle_from_producer.emplace(s, so.shuffle_id);
+  ctx_.rt[s].written.push_back({so.shuffle_id, consumer});
+  ctx_.job_shuffle_ids.push_back(so.shuffle_id);
+  if (tracing()) {
+    obs::Event e;
+    e.kind = obs::EventKind::kShuffleWrite;
+    e.job = ctx_.job_id;
+    e.stage = sm.stage_id;
+    e.plan_index = consumer;  // flow target: the consuming stage
+    e.shuffle = so.shuffle_id;
+    e.bytes = so.total_bytes;
+    e.count = so.num_map_tasks;
+    e.num_partitions = so.partitioner->num_partitions();
+    if (so.passthrough) e.flags |= obs::kFlagPassthrough;
+    emit(std::move(e));
+  }
+  if (eng_.ckpt_hook_ != nullptr) {
+    eng_.ckpt_hook_->on_shuffle_committed(ctx_.job_id, s, consumer, so);
+  }
+  eng_.shuffles_.put(std::move(so));
+}
+
+void JobRunner::commit_result(std::size_t s, const StageMetrics& sm,
+                              std::vector<Partition>& parts) {
+  if (ctx_.collect_records) collect_records(parts, ctx_.result.records);
+  for (const auto& tm : sm.tasks) ctx_.result.count += tm.records_out;
+  if (eng_.ckpt_hook_ != nullptr) {
+    eng_.ckpt_hook_->on_result_committed(ctx_.job_id, s, parts);
+  }
+  parts.clear();
+}
+
+void JobRunner::release_consumed_shuffles(std::size_t s) {
+  // Classic mode only: retained-data jobs (memory budget, a stage-retrying
+  // fault plan) keep every shuffle alive until job end so lineage replay
+  // and attempt retries can re-read surviving map outputs.
+  const StagePlan& plan = ctx_.plan.stages[s];
+  if (retain_ || plan.input != StageInputKind::kShuffle) return;
+  auto& rt = ctx_.rt[s];
+  for (const std::size_t parent : plan.parent_stages) {
+    const auto it = rt.shuffle_from_producer.find(parent);
+    if (it != rt.shuffle_from_producer.end()) {
+      eng_.shuffles_.remove(it->second);
+      rt.shuffle_from_producer.erase(it);
+    }
+  }
+}
+
+void JobRunner::finish_stage(std::size_t s, StageMetrics sm) {
+  job_metrics_.fold_stage(sm);
+  // Stage barrier hook: kStageEnd is delivered to sinks synchronously, so an
+  // in-process sink (src/adapt's AdaptiveController) runs to completion here
+  // — any plan-provider patch it makes is visible to every scheme still
+  // unresolved, i.e. stages at least two hops downstream in this job (a
+  // consumer's scheme resolves during its producer's shuffle write) and all
+  // stages of later jobs. One span per committed task precedes it; span
+  // times are stage-window-relative (the exporter and replay add
+  // sim_start_s).
+  if (tracing()) {
+    for (const TaskMetrics& tm : sm.tasks) emit(obs::task_to_event(sm, s, tm));
+    emit(obs::stage_to_event(sm, s));
+  }
+  eng_.metrics_.add_stage(std::move(sm));
 }
 
 void JobRunner::check_interrupt() const {
@@ -938,19 +921,7 @@ void JobRunner::run_stage(std::size_t s) {
   sm.user_fixed = plan.input == StageInputKind::kShuffle &&
                   plan.anchor->shuffle_request().user_fixed;
   job_metrics_.stage_ids.push_back(sm.stage_id);
-
-  if (tracing()) {
-    obs::Event e;
-    e.kind = obs::EventKind::kStageStart;
-    e.job = ctx_.job_id;
-    e.stage = sm.stage_id;
-    e.plan_index = s;
-    e.signature = sm.signature;
-    e.name = sm.name;
-    if (sm.is_shuffle_map) e.flags |= obs::kFlagShuffleMap;
-    e.num_partitions = ctx_.rt[s].num_tasks;
-    emit(std::move(e));
-  }
+  if (tracing()) emit_stage_start(s, sm, planned_tasks(s));
 
   const std::size_t max_attempts =
       std::max<std::size_t>(1, faults_.max_stage_attempts);
@@ -986,19 +957,7 @@ void JobRunner::run_stage(std::size_t s) {
       }
       sm.cache_hits += hits;
       sm.recompute_saved_bytes += saved;
-      if (hits > 0 && tracing()) {
-        obs::Event e;
-        e.kind = obs::EventKind::kCacheHit;
-        e.job = ctx_.job_id;
-        e.stage = sm.stage_id;
-        e.plan_index = s;
-        e.attempt = attempt;
-        e.dataset = plan.anchor->id();
-        e.name = plan.anchor->label();
-        e.count = hits;
-        e.bytes = saved;
-        emit(std::move(e));
-      }
+      if (hits > 0 && tracing()) emit_cache_hit(s, sm, attempt, hits, saved);
     }
     // Heal evicted cache blocks / lost shuffle rows before (re)executing.
     if (retain_) recover_stage_inputs(s, sm);
@@ -1099,33 +1058,7 @@ void JobRunner::run_stage(std::size_t s) {
   sm.spilled_bytes += eng_.mem_ledger_.total_spilled() - spilled0;
   sm.evictions_lru += eng_.mem_ledger_.total_evictions_lru() - ev_lru0;
   sm.evictions_cost += eng_.mem_ledger_.total_evictions_cost() - ev_cost0;
-
-  job_metrics_.stage_attempts += sm.attempt_count;
-  job_metrics_.recomputed_tasks += sm.recomputed_tasks;
-  job_metrics_.recomputed_bytes += sm.recomputed_bytes;
-  job_metrics_.recovery_time_s += sm.recovery_time_s;
-  job_metrics_.fetch_retries += sm.fetch_retries;
-  job_metrics_.refetched_bytes += sm.refetched_bytes;
-  job_metrics_.checksum_failures += sm.checksum_failures;
-  job_metrics_.node_exclusions += sm.node_exclusions;
-  job_metrics_.oom_count += sm.oom_count;
-  job_metrics_.evicted_bytes += sm.evicted_bytes;
-  job_metrics_.spilled_bytes += sm.spilled_bytes;
-  job_metrics_.peak_resident_bytes =
-      std::max(job_metrics_.peak_resident_bytes, sm.peak_resident_bytes);
-  job_metrics_.cache_hits += sm.cache_hits;
-  job_metrics_.cache_misses += sm.cache_misses;
-  job_metrics_.recompute_saved_bytes += sm.recompute_saved_bytes;
-  job_metrics_.evictions_lru += sm.evictions_lru;
-  job_metrics_.evictions_cost += sm.evictions_cost;
-  // Stage barrier hook: kStageEnd is delivered to sinks synchronously, so an
-  // in-process sink (src/adapt's AdaptiveController) runs to completion here
-  // — any plan-provider patch it makes is visible to every scheme still
-  // unresolved, i.e. stages at least two hops downstream in this job (a
-  // consumer's scheme resolves during its producer's shuffle write, below)
-  // and all stages of later jobs.
-  if (tracing()) emit_stage_end(s, sm, a);
-  eng_.metrics_.add_stage(std::move(sm));
+  finish_stage(s, std::move(sm));
 }
 
 Partition JobRunner::read_stage_input(std::size_t s, std::size_t p,
@@ -1264,6 +1197,59 @@ double JobRunner::price_task(const TaskWork& tw, double extra_units,
   return cm_.task_launch_s + fetch_s + compute_s;
 }
 
+double JobRunner::list_schedule(const std::vector<std::size_t>& nodes,
+                                const std::vector<double>& durations,
+                                std::vector<double>& starts,
+                                std::vector<double>& ends,
+                                std::vector<std::size_t>& slots) const {
+  std::vector<std::vector<double>> slot_free(eng_.cluster_.num_nodes());
+  for (std::size_t n = 0; n < eng_.cluster_.num_nodes(); ++n) {
+    slot_free[n].assign(eng_.cluster_.node(n).cores, 0.0);
+  }
+  starts.assign(nodes.size(), 0.0);
+  ends.assign(nodes.size(), 0.0);
+  slots.assign(nodes.size(), 0);
+  double makespan = 0.0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    auto& free = slot_free[nodes[i]];
+    const auto slot = std::min_element(free.begin(), free.end());
+    starts[i] = *slot;
+    ends[i] = *slot + durations[i];
+    slots[i] = static_cast<std::size_t>(slot - free.begin());
+    *slot = ends[i];
+    makespan = std::max(makespan, ends[i]);
+  }
+  return makespan;
+}
+
+double JobRunner::write_map_row(ShuffleOutput& so, std::size_t m,
+                                const StagePlan& cplan, Partition& out,
+                                bool may_move) const {
+  auto& row = so.buckets[m];
+  if (so.passthrough) {
+    // Already partitioned correctly: bucket r == m, no repartitioning work,
+    // no framing overhead, reads will be node-local.
+    row[m] = may_move ? std::move(out) : copy_partition(out);
+    return 0.0;
+  }
+  const bool combine = eng_.options_.map_side_combine &&
+                       cplan.anchor->op() == OpKind::kReduceByKey &&
+                       static_cast<bool>(cplan.anchor->reduce_fn());
+  const double work =
+      static_cast<double>(out.size()) * (combine ? kCombineWork : kBucketWork);
+  if (combine) {
+    // Map-side combine: pre-merge per (bucket, key) before the shuffle (a
+    // replay re-combines exactly like the original map task, so the row is
+    // bit-identical).
+    dataplane::combine_scatter(out, *so.partitioner, cplan.anchor->reduce_fn(),
+                               row);
+  } else {
+    dataplane::radix_scatter(out, *so.partitioner, row);
+    if (may_move) out = Partition();  // release source records
+  }
+  return work;
+}
+
 void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
   const StagePlan& plan = ctx_.plan.stages[s];
   auto& rt = ctx_.rt[s];
@@ -1271,45 +1257,32 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
 
   // ---- determine task count & placement --------------------------------
   a.cached = nullptr;
-  switch (plan.input) {
-    case StageInputKind::kSource:
-      rt.num_tasks =
-          resolve_scheme(ctx_, s, provider, eng_.options_.default_parallelism)
-              .num_partitions;
-      break;
-    case StageInputKind::kCache:
-      // Pin: the dataset must survive (and stay eviction-proof) for the
-      // whole attempt — concurrent jobs or the storage budget may otherwise
-      // free partitions mid-read.
-      a.cache_pin = eng_.block_manager_.pin(plan.anchor->id());
-      a.cached = a.cache_pin.get();
-      if (a.cached == nullptr) {
-        throw std::logic_error("run_job: cache anchor not materialized: " +
-                               plan.anchor->label());
-      }
-      {
-        // Guard: a concurrent job may be healing this dataset's evicted
-        // blocks; the lock also publishes those heals to our task reads.
-        auto g = eng_.block_manager_.guard();
-        if (retain_ && !a.cached->complete()) {
-          // Recovery just ran and could not keep the blocks resident: the
-          // dataset does not fit the storage budget even freshly healed.
-          throw TaskOomError("cached dataset '" + plan.anchor->label() +
-                             "' cannot be kept resident under the storage "
-                             "budget");
-        }
-        rt.num_tasks = a.cached->partitions.size();
-      }
-      break;
-    case StageInputKind::kShuffle:
-      // The partitioner was built when the first producer wrote; producers
-      // precede us in topological order.
-      if (!rt.partitioner) {
-        throw std::logic_error("run_job: shuffle partitioner missing for " +
-                               plan.name);
-      }
-      rt.num_tasks = rt.partitioner->num_partitions();
-      break;
+  if (plan.input == StageInputKind::kCache) {
+    // Pin: the dataset must survive (and stay eviction-proof) for the
+    // whole attempt — concurrent jobs or the storage budget may otherwise
+    // free partitions mid-read.
+    a.cache_pin = eng_.block_manager_.pin(plan.anchor->id());
+    a.cached = a.cache_pin.get();
+    if (a.cached == nullptr) {
+      throw std::logic_error("run_job: cache anchor not materialized: " +
+                             plan.anchor->label());
+    }
+    // Guard: a concurrent job may be healing this dataset's evicted blocks;
+    // the lock also publishes those heals to our task reads.
+    auto g = eng_.block_manager_.guard();
+    if (retain_ && !a.cached->complete()) {
+      // Recovery just ran and could not keep the blocks resident: the
+      // dataset does not fit the storage budget even freshly healed.
+      throw TaskOomError("cached dataset '" + plan.anchor->label() +
+                         "' cannot be kept resident under the storage "
+                         "budget");
+    }
+    rt.num_tasks = a.cached->partitions.size();
+  } else if (plan.input == StageInputKind::kShuffle && !rt.partitioner) {
+    throw std::logic_error("run_job: shuffle partitioner missing for " +
+                           plan.name);
+  } else {
+    rt.num_tasks = planned_tasks(s);
   }
   rt.task_node.resize(rt.num_tasks);
   for (std::size_t p = 0; p < rt.num_tasks; ++p) {
@@ -1322,16 +1295,7 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
   rt.output.resize(rt.num_tasks);
 
   // Cache-materialization snapshots for not-yet-cached chain nodes.
-  if (plan.anchor->cached() &&
-      !eng_.block_manager_.contains(plan.anchor->id()) &&
-      plan.input != StageInputKind::kCache) {
-    a.to_cache.push_back(plan.anchor);
-  }
-  for (const auto* op : plan.narrow_ops) {
-    if (op->cached() && !eng_.block_manager_.contains(op->id())) {
-      a.to_cache.push_back(op);
-    }
-  }
+  a.to_cache = cache_commit_order(s);
   for (const auto* ds : a.to_cache) {
     a.cache_snapshots[ds].resize(rt.num_tasks);
   }
@@ -1450,54 +1414,15 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
     so.buckets.resize(rt.num_tasks);
     for (auto& row : so.buckets) row.resize(r_count);
 
-    const bool passthrough =
+    so.passthrough =
         rt.output_partitioner && rt.output_partitioner->equals(*target);
-    so.passthrough = passthrough;
-
-    const bool combine = eng_.options_.map_side_combine &&
-                         cplan.anchor->op() == OpKind::kReduceByKey &&
-                         static_cast<bool>(cplan.anchor->reduce_fn());
 
     common::parallel_for(*eng_.pool_, rt.num_tasks, [&](std::size_t m) {
-      auto& row = so.buckets[m];
-      Partition& out = rt.output[m];
-      if (passthrough) {
-        // Already partitioned correctly: bucket r == m, no repartitioning
-        // work, no framing overhead, reads will be node-local.
-        if (may_move) {
-          row[m] = std::move(out);
-        } else {
-          row[m] = copy_partition(out);
-        }
-        return;
-      }
-      a.extra_work[m] += static_cast<double>(out.size()) *
-                         (combine ? kCombineWork : kBucketWork);
-      if (combine) {
-        // Map-side combine: pre-merge per (bucket, key) before the shuffle.
-        dataplane::combine_scatter(out, *target, cplan.anchor->reduce_fn(),
-                                   row);
-      } else {
-        dataplane::radix_scatter(out, *target, row);
-        if (may_move) {
-          out = Partition();  // release source records
-        }
-      }
+      a.extra_work[m] += write_map_row(so, m, cplan, rt.output[m], may_move);
     });
 
-    std::uint64_t bytes = 0, nonempty = 0;
-    for (const auto& row : so.buckets) {
-      for (const auto& b : row) {
-        bytes += b.bytes();
-        if (!b.empty()) ++nonempty;
-      }
-    }
-    if (!passthrough) {
-      bytes += nonempty * cm_.bucket_header_bytes;
-    }
-    so.total_bytes = bytes;
-    a.stage_shuffle_write += bytes;
-    a.write_transactions += nonempty;
+    a.write_transactions += so.tally_bytes(cm_.bucket_header_bytes);
+    a.stage_shuffle_write += so.total_bytes;
     a.pending.push_back(std::move(ps));
   }
 
@@ -1634,24 +1559,8 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
     }
   }
 
-  // Earliest-available-slot list scheduling onto the simulated cluster.
-  std::vector<std::vector<double>> slot_free(eng_.cluster_.num_nodes());
-  for (std::size_t n = 0; n < eng_.cluster_.num_nodes(); ++n) {
-    slot_free[n].assign(eng_.cluster_.node(n).cores, 0.0);
-  }
-  a.starts.assign(rt.num_tasks, 0.0);
-  a.ends.assign(rt.num_tasks, 0.0);
-  a.slots.assign(rt.num_tasks, 0);
-  a.makespan = 0.0;
-  for (std::size_t p = 0; p < rt.num_tasks; ++p) {
-    auto& slots = slot_free[rt.task_node[p]];
-    auto slot = std::min_element(slots.begin(), slots.end());
-    a.starts[p] = *slot;
-    a.ends[p] = *slot + a.durations[p];
-    a.slots[p] = static_cast<std::size_t>(slot - slots.begin());
-    *slot = a.ends[p];
-    a.makespan = std::max(a.makespan, a.ends[p]);
-  }
+  a.makespan =
+      list_schedule(rt.task_node, a.durations, a.starts, a.ends, a.slots);
 
   if (flaky_) {
     // Stage-level retry telemetry accumulates across every attempt, even
@@ -1753,12 +1662,8 @@ bool JobRunner::grow_stage_partitions(std::size_t s, StageMetrics& sm) {
   // per-key merge order at the reducers equals the map-task order, which is
   // unchanged, so results stay bit-identical to an ample-memory run.
   // Gather every live parent row first (moving the old buckets out).
-  struct RowBuf {
-    ShuffleOutput* so = nullptr;
-    std::size_t m = 0;
-    Partition merged;
-  };
-  std::vector<RowBuf> rows;
+  std::vector<std::pair<ShuffleOutput*, std::size_t>> rows;  // (so, m)
+  std::vector<Partition> merged;
   std::vector<ShuffleOutput*> outs;
   for (const std::size_t parent : plan.parent_stages) {
     const auto it = rt.shuffle_from_producer.find(parent);
@@ -1767,25 +1672,16 @@ bool JobRunner::grow_stage_partitions(std::size_t s, StageMetrics& sm) {
     outs.push_back(&so);
     for (std::size_t m = 0; m < so.num_map_tasks; ++m) {
       if (!so.lost.empty() && so.lost[m]) continue;  // healed next attempt
-      RowBuf rb;
-      rb.so = &so;
-      rb.m = m;
-      for (auto& bucket : so.buckets[m]) rb.merged.absorb(std::move(bucket));
-      rows.push_back(std::move(rb));
+      rows.emplace_back(&so, m);
+      Partition& row = merged.emplace_back();
+      for (auto& bucket : so.buckets[m]) row.absorb(std::move(bucket));
     }
   }
   if (outs.empty()) return false;
 
   std::vector<std::uint64_t> keys;
   if (rt.partitioner->kind() == PartitionerKind::kRange) {
-    for (const auto& rb : rows) {
-      if (rb.merged.empty()) continue;
-      const std::size_t stride =
-          std::max<std::size_t>(1, rb.merged.size() / 32);
-      for (std::size_t i = 0; i < rb.merged.size(); i += stride) {
-        keys.push_back(rb.merged.key(i));
-      }
-    }
+    keys = sample_keys(merged);
   }
   auto grown =
       make_partitioner(rt.partitioner->kind(), new_p, std::move(keys));
@@ -1800,24 +1696,15 @@ bool JobRunner::grow_stage_partitions(std::size_t s, StageMetrics& sm) {
     }
   }
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    RowBuf& rb = rows[i];
+    const auto [so, m] = rows[i];
     TaskWork& tw = works[i];
-    tw.records_in = rb.merged.size();
-    tw.bytes_in = rb.merged.bytes();
-    nodes[i] = rb.so->map_node[rb.m];
-    replay_bucket_row(*rb.so, rb.m, plan, rb.merged, tw);
-    tw.records_out = tw.records_in;
-    tw.bytes_out = tw.bytes_in;
+    tw.records_in = tw.records_out = merged[i].size();
+    tw.bytes_in = tw.bytes_out = merged[i].bytes();
+    nodes[i] = so->map_node[m];
+    tw.work_units += write_map_row(*so, m, plan, merged[i], /*may_move=*/false);
   }
   for (ShuffleOutput* so : outs) {
-    std::uint64_t bytes = 0, nonempty = 0;
-    for (const auto& row : so->buckets) {
-      for (const auto& b : row) {
-        bytes += b.bytes();
-        if (!b.empty()) ++nonempty;
-      }
-    }
-    so->total_bytes = bytes + nonempty * cm_.bucket_header_bytes;
+    so->tally_bytes(cm_.bucket_header_bytes);
     // Every surviving row was re-bucketed in place: re-record its sum (lost
     // rows stay stale until their heal refreshes them).
     if (so->row_sum.size() == so->num_map_tasks) so->record_row_sums();
@@ -1878,11 +1765,10 @@ void JobRunner::commit_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
   auto& rt = ctx_.rt[s];
   const double rescale = 1.0 / cm_.data_scale;
 
-  // Commit cache materializations. `cache_ordinal` (the index within this
-  // stage's commit order) is the checkpoint key — dataset ids are
-  // process-local and do not survive a restart (engine/resume.h).
-  std::size_t cache_ordinal = 0;
-  for (const auto* ds : a.to_cache) {
+  // Commit cache materializations in a.to_cache order (the ordinal is the
+  // checkpoint key — dataset ids are process-local, engine/resume.h).
+  for (std::size_t ordinal = 0; ordinal < a.to_cache.size(); ++ordinal) {
+    const Dataset* ds = a.to_cache[ordinal];
     CachedDataset cd;
     cd.partitions = std::move(a.cache_snapshots[ds]);
     cd.placement = rt.task_node;
@@ -1897,68 +1783,13 @@ void JobRunner::commit_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
             : (!plan.narrow_ops.empty() && ds == plan.narrow_ops.back())
                   ? rt.output_partitioner
                   : nullptr;
-    // Keep the lineage DAG alive so lost blocks can be recomputed after a
-    // node failure, even if the user drops their dataset handle.
-    cd.lineage = const_cast<Dataset*>(ds)->shared_from_this();
     for (const auto& p : cd.partitions) cd.bytes += p.bytes();
-    if (integrity_) {
-      // Record the clean sums first; an armed corruption then flips a byte
-      // silently, to be caught by verify_cache_sums at the next read.
-      cd.sums.resize(cd.partitions.size());
-      for (std::size_t p = 0; p < cd.partitions.size(); ++p) {
-        cd.sums[p] = cd.partitions[p].checksum();
-      }
-      fire_cache_corruption(ds->id(), cd);
-    }
-    if (tracing()) {
-      obs::Event e;
-      e.kind = obs::EventKind::kBlockStore;
-      e.job = ctx_.job_id;
-      e.stage = sm.stage_id;
-      e.dataset = ds->id();
-      e.name = ds->label();
-      e.bytes = cd.bytes;
-      e.count = cd.partitions.size();
-      emit(std::move(e));
-    }
-    // Persist before publishing: the hook writes the block file now, the
-    // kStageEnd WAL line that marks it committed is only emitted after
-    // commit_attempt returns (run_stage).
-    if (eng_.ckpt_hook_ != nullptr) {
-      eng_.ckpt_hook_->on_cache_committed(ctx_.job_id, s, cache_ordinal, cd);
-    }
-    ++cache_ordinal;
-    eng_.block_manager_.put(ds->id(), std::move(cd));
+    commit_cache(s, sm, ordinal, ds, std::move(cd));
   }
 
   // Publish the shuffles this attempt wrote.
   for (auto& ps : a.pending) {
-    if (integrity_) {
-      ps.so.record_row_sums();
-      fire_shuffle_corruption(sm.stage_id, ps.so);
-    }
-    ps.so.shuffle_id = eng_.shuffles_.next_id();
-    auto& crt = ctx_.rt[ps.consumer];
-    crt.shuffle_from_producer.emplace(s, ps.so.shuffle_id);
-    rt.written.push_back({ps.so.shuffle_id, ps.consumer});
-    ctx_.job_shuffle_ids.push_back(ps.so.shuffle_id);
-    if (tracing()) {
-      obs::Event e;
-      e.kind = obs::EventKind::kShuffleWrite;
-      e.job = ctx_.job_id;
-      e.stage = sm.stage_id;
-      e.plan_index = ps.consumer;  // flow target: the consuming stage
-      e.shuffle = ps.so.shuffle_id;
-      e.bytes = ps.so.total_bytes;
-      e.count = ps.so.num_map_tasks;
-      e.num_partitions = crt.num_tasks;
-      if (ps.so.passthrough) e.flags |= obs::kFlagPassthrough;
-      emit(std::move(e));
-    }
-    if (eng_.ckpt_hook_ != nullptr) {
-      eng_.ckpt_hook_->on_shuffle_committed(ctx_.job_id, s, ps.consumer, ps.so);
-    }
-    eng_.shuffles_.put(std::move(ps.so));
+    publish_shuffle(s, sm, ps.consumer, std::move(ps.so));
   }
   a.pending.clear();
 
@@ -1972,6 +1803,7 @@ void JobRunner::commit_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
     TaskMetrics& tm = sm.tasks[p];
     tm.task_index = p;
     tm.node = rt.task_node[p];
+    tm.slot = a.slots[p];
     tm.sim_start = a.starts[p];
     tm.sim_end = a.ends[p];
     tm.compute_s = a.compute_portion[p];
@@ -1984,6 +1816,7 @@ void JobRunner::commit_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
     tm.bytes_out = tw.bytes_out;
     tm.shuffle_read_remote = tw.shuffle_read_remote;
     tm.shuffle_read_local = tw.shuffle_read_local;
+    tm.spilled_bytes = static_cast<std::uint64_t>(a.spill_modeled[p]);
 
     sm.input_records += tw.records_in;
     sm.input_bytes += tw.bytes_in;
@@ -2023,31 +1856,8 @@ void JobRunner::commit_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
 
   advance(a.makespan);
 
-  // ---- result action -------------------------------------------------------
-  if (plan.is_result) {
-    if (ctx_.collect_records) {
-      collect_records(rt.output, ctx_.result.records);
-    }
-    for (const auto& tm : sm.tasks) ctx_.result.count += tm.records_out;
-    if (eng_.ckpt_hook_ != nullptr) {
-      eng_.ckpt_hook_->on_result_committed(ctx_.job_id, s, rt.output);
-    }
-    rt.output.clear();
-  }
-
-  // ---- release consumed parent shuffles ------------------------------------
-  // Classic mode only: retained-data jobs (memory budget, a stage-retrying
-  // fault plan) keep every shuffle alive until job end so lineage replay
-  // and attempt retries can re-read surviving map outputs.
-  if (!retain_ && plan.input == StageInputKind::kShuffle) {
-    for (const std::size_t parent : plan.parent_stages) {
-      const auto it = rt.shuffle_from_producer.find(parent);
-      if (it != rt.shuffle_from_producer.end()) {
-        eng_.shuffles_.remove(it->second);
-        rt.shuffle_from_producer.erase(it);
-      }
-    }
-  }
+  if (plan.is_result) commit_result(s, sm, rt.output);
+  release_consumed_shuffles(s);
 }
 
 void JobRunner::release_job_shuffles() {
@@ -2445,7 +2255,8 @@ void JobRunner::recover_map_tasks(std::size_t producer, StageMetrics& sm) {
     for (std::size_t oi = 0; oi < outs.size(); ++oi) {
       ShuffleOutput* so = outs[oi];
       if (so->lost.empty() || !so->lost[m]) continue;
-      replay_bucket_row(*so, m, ctx_.plan.stages[out_consumer[oi]], out, tw);
+      tw.work_units += write_map_row(*so, m, ctx_.plan.stages[out_consumer[oi]],
+                                     out, /*may_move=*/false);
     }
   });
 
@@ -2481,50 +2292,20 @@ void JobRunner::recover_map_tasks(std::size_t producer, StageMetrics& sm) {
   if (mem_) eng_.shuffles_.enforce_budget();  // replays re-inflate map nodes
 }
 
-void JobRunner::replay_bucket_row(ShuffleOutput& so, std::size_t m,
-                                  const StagePlan& cplan, const Partition& out,
-                                  TaskWork& tw) {
-  auto& row = so.buckets[m];
-  const auto& target = so.partitioner;
-  for (auto& b : row) b = Partition();
-  if (so.passthrough) {
-    row[m] = copy_partition(out);
-    return;
-  }
-  const bool combine = eng_.options_.map_side_combine &&
-                       cplan.anchor->op() == OpKind::kReduceByKey &&
-                       static_cast<bool>(cplan.anchor->reduce_fn());
-  tw.work_units +=
-      static_cast<double>(out.size()) * (combine ? kCombineWork : kBucketWork);
-  if (combine) {
-    // Must re-combine exactly as the original map task did so the replayed
-    // row is bit-identical to the lost one.
-    dataplane::combine_scatter(out, *target, cplan.anchor->reduce_fn(), row);
-  } else {
-    dataplane::radix_scatter(out, *target, row);
-  }
-}
-
 void JobRunner::price_recovery(const std::vector<std::size_t>& nodes,
                                const std::vector<TaskWork>& works,
                                StageMetrics& sm) {
-  std::vector<std::vector<double>> slot_free(eng_.cluster_.num_nodes());
-  for (std::size_t n = 0; n < eng_.cluster_.num_nodes(); ++n) {
-    slot_free[n].assign(eng_.cluster_.node(n).cores, 0.0);
-  }
-  double makespan = 0.0;
-  const double t0 = now();
+  std::vector<double> durations(works.size());
   for (std::size_t i = 0; i < works.size(); ++i) {
-    const double d =
-        price_task(works[i], 0.0, nodes[i], 1.0, nullptr, nullptr);
-    auto& slots = slot_free[nodes[i]];
-    auto slot = std::min_element(slots.begin(), slots.end());
-    const double start = *slot;
-    const double end = start + d;
-    *slot = end;
-    makespan = std::max(makespan, end);
-    if (eng_.options_.record_timeline) {
-      eng_.timeline_.add_cpu_busy(t0 + start, t0 + end);
+    durations[i] = price_task(works[i], 0.0, nodes[i], 1.0, nullptr, nullptr);
+  }
+  std::vector<double> starts, ends;
+  std::vector<std::size_t> slots;
+  const double makespan = list_schedule(nodes, durations, starts, ends, slots);
+  if (eng_.options_.record_timeline) {
+    const double t0 = now();
+    for (std::size_t i = 0; i < works.size(); ++i) {
+      eng_.timeline_.add_cpu_busy(t0 + starts[i], t0 + ends[i]);
     }
   }
   advance(makespan);

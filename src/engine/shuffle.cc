@@ -25,6 +25,20 @@ void ShuffleOutput::record_row_sums() {
   }
 }
 
+std::size_t ShuffleOutput::tally_bytes(std::uint64_t header_bytes) {
+  std::uint64_t bytes = 0;
+  std::size_t nonempty = 0;
+  for (const auto& row : buckets) {
+    for (const auto& b : row) {
+      bytes += b.bytes();
+      if (!b.empty()) ++nonempty;
+    }
+  }
+  if (!passthrough) bytes += nonempty * header_bytes;
+  total_bytes = bytes;
+  return nonempty;
+}
+
 std::size_t ShuffleManager::next_id() {
   std::lock_guard lock(mu_);
   return next_id_++;

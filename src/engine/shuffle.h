@@ -71,6 +71,10 @@ struct ShuffleOutput {
     for (const auto& bucket : buckets[m]) b += bucket.bytes();
     return b;
   }
+  /// Recompute total_bytes: every bucket's record bytes plus
+  /// `header_bytes` of framing per non-empty bucket (none for a
+  /// passthrough, which frames nothing). Returns the non-empty bucket count.
+  std::size_t tally_bytes(std::uint64_t header_bytes);
   /// Integrity digest of map row m (every bucket's arena checksum chained).
   std::uint64_t compute_row_sum(std::size_t m) const noexcept;
   /// (Re)record row_sum for every non-lost row; sizes row_sum on first use.

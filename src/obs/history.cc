@@ -10,10 +10,84 @@
 
 namespace chopper::obs {
 
+namespace {
+
+// The shared stage/job telemetry counters, encoded and decoded once for
+// kStageEnd and kJobFinish.
+void put_counters(const engine::TelemetryCounters& c, Event& e) {
+  e.recomputed_tasks = c.recomputed_tasks;
+  e.recomputed_bytes = c.recomputed_bytes;
+  e.recovery_time_s = c.recovery_time_s;
+  e.fetch_retries = c.fetch_retries;
+  e.refetched_bytes = c.refetched_bytes;
+  e.checksum_failures = c.checksum_failures;
+  e.node_exclusions = c.node_exclusions;
+  e.oom_count = c.oom_count;
+  e.evicted_bytes = c.evicted_bytes;
+  e.spilled_bytes = c.spilled_bytes;
+  e.peak_resident_bytes = c.peak_resident_bytes;
+  e.cache_hits = c.cache_hits;
+  e.cache_misses = c.cache_misses;
+  e.recompute_saved_bytes = c.recompute_saved_bytes;
+  e.evictions_lru = c.evictions_lru;
+  e.evictions_cost = c.evictions_cost;
+}
+
+void get_counters(const Event& e, engine::TelemetryCounters& c) {
+  c.recomputed_tasks = static_cast<std::size_t>(e.recomputed_tasks);
+  c.recomputed_bytes = e.recomputed_bytes;
+  c.recovery_time_s = e.recovery_time_s;
+  c.fetch_retries = static_cast<std::size_t>(e.fetch_retries);
+  c.refetched_bytes = e.refetched_bytes;
+  c.checksum_failures = static_cast<std::size_t>(e.checksum_failures);
+  c.node_exclusions = static_cast<std::size_t>(e.node_exclusions);
+  c.oom_count = static_cast<std::size_t>(e.oom_count);
+  c.evicted_bytes = e.evicted_bytes;
+  c.spilled_bytes = e.spilled_bytes;
+  c.peak_resident_bytes = e.peak_resident_bytes;
+  c.cache_hits = static_cast<std::size_t>(e.cache_hits);
+  c.cache_misses = static_cast<std::size_t>(e.cache_misses);
+  c.recompute_saved_bytes = e.recompute_saved_bytes;
+  c.evictions_lru = static_cast<std::size_t>(e.evictions_lru);
+  c.evictions_cost = static_cast<std::size_t>(e.evictions_cost);
+}
+
+}  // namespace
+
+Event task_to_event(const engine::StageMetrics& sm, std::size_t plan_index,
+                    const engine::TaskMetrics& tm) {
+  Event e;
+  e.kind = EventKind::kTaskSpan;
+  e.job = sm.job_id;
+  e.stage = sm.stage_id;
+  e.plan_index = plan_index;
+  e.task = tm.task_index;
+  e.node = tm.node;
+  e.slot = tm.slot;
+  e.attempt = tm.attempts;
+  e.fetch_retries = tm.fetch_retries;
+  e.t_start = tm.sim_start;
+  e.t_end = tm.sim_end;
+  e.compute_s = tm.compute_s;
+  e.fetch_s = tm.fetch_s;
+  e.records_in = tm.records_in;
+  e.records_out = tm.records_out;
+  e.bytes_in = tm.bytes_in;
+  e.bytes_out = tm.bytes_out;
+  e.shuffle_read_remote = tm.shuffle_read_remote;
+  e.shuffle_read_local = tm.shuffle_read_local;
+  if (tm.shuffle_read_remote > 0) e.flags |= kFlagRemoteFetch;
+  if (tm.shuffle_read_local > 0) e.flags |= kFlagLocalFetch;
+  if (tm.spilled_bytes > 0) e.flags |= kFlagSpilled;
+  e.spilled_bytes = tm.spilled_bytes;
+  return e;
+}
+
 engine::TaskMetrics task_from_event(const Event& e) {
   engine::TaskMetrics tm;
   tm.task_index = static_cast<std::size_t>(e.task);
   tm.node = static_cast<std::size_t>(e.node);
+  tm.slot = e.slot == kNoId ? 0 : static_cast<std::size_t>(e.slot);
   tm.sim_start = e.t_start;
   tm.sim_end = e.t_end;
   tm.compute_s = e.compute_s;
@@ -26,7 +100,39 @@ engine::TaskMetrics task_from_event(const Event& e) {
   tm.bytes_out = e.bytes_out;
   tm.shuffle_read_remote = e.shuffle_read_remote;
   tm.shuffle_read_local = e.shuffle_read_local;
+  tm.spilled_bytes = e.spilled_bytes;
   return tm;
+}
+
+Event stage_to_event(const engine::StageMetrics& sm, std::size_t plan_index) {
+  Event e;
+  e.kind = EventKind::kStageEnd;
+  e.job = sm.job_id;
+  e.stage = sm.stage_id;
+  e.plan_index = plan_index;
+  e.signature = sm.signature;
+  e.name = sm.name;
+  if (sm.is_shuffle_map) e.flags |= kFlagShuffleMap;
+  if (sm.fixed_partitions) e.flags |= kFlagFixedPartitions;
+  if (sm.user_fixed) e.flags |= kFlagUserFixed;
+  e.num_partitions = sm.num_partitions;
+  e.partitioner = static_cast<std::uint64_t>(sm.partitioner);
+  e.anchor_op = static_cast<std::uint64_t>(sm.anchor_op);
+  e.list = sm.parent_signatures;
+  e.records_in = sm.input_records;
+  e.bytes_in = sm.input_bytes;
+  e.records_out = sm.output_records;
+  e.bytes_out = sm.output_bytes;
+  e.shuffle_read_bytes = sm.shuffle_read_bytes;
+  e.shuffle_write_bytes = sm.shuffle_write_bytes;
+  e.attempt = sm.attempt_count;
+  put_counters(sm, e);
+  e.list2.assign(sm.oomed_partition_counts.begin(),
+                 sm.oomed_partition_counts.end());
+  e.sim_time_s = sm.sim_time_s;
+  e.sim_start_s = sm.sim_start_s;
+  e.wall_time_s = sm.wall_time_s;
+  return e;
 }
 
 engine::StageMetrics stage_from_event(const Event& e,
@@ -50,28 +156,33 @@ engine::StageMetrics stage_from_event(const Event& e,
   sm.shuffle_read_bytes = e.shuffle_read_bytes;
   sm.shuffle_write_bytes = e.shuffle_write_bytes;
   sm.attempt_count = static_cast<std::size_t>(e.attempt);
-  sm.recomputed_tasks = static_cast<std::size_t>(e.recomputed_tasks);
-  sm.recomputed_bytes = e.recomputed_bytes;
-  sm.recovery_time_s = e.recovery_time_s;
-  sm.fetch_retries = static_cast<std::size_t>(e.fetch_retries);
-  sm.refetched_bytes = e.refetched_bytes;
-  sm.checksum_failures = static_cast<std::size_t>(e.checksum_failures);
-  sm.node_exclusions = static_cast<std::size_t>(e.node_exclusions);
-  sm.oom_count = static_cast<std::size_t>(e.oom_count);
+  get_counters(e, sm);
   sm.oomed_partition_counts.assign(e.list2.begin(), e.list2.end());
-  sm.evicted_bytes = e.evicted_bytes;
-  sm.spilled_bytes = e.spilled_bytes;
-  sm.peak_resident_bytes = e.peak_resident_bytes;
-  sm.cache_hits = static_cast<std::size_t>(e.cache_hits);
-  sm.cache_misses = static_cast<std::size_t>(e.cache_misses);
-  sm.recompute_saved_bytes = e.recompute_saved_bytes;
-  sm.evictions_lru = static_cast<std::size_t>(e.evictions_lru);
-  sm.evictions_cost = static_cast<std::size_t>(e.evictions_cost);
   sm.sim_time_s = e.sim_time_s;
   sm.sim_start_s = e.sim_start_s;
   sm.wall_time_s = e.wall_time_s;
   sm.tasks = std::move(tasks);
   return sm;
+}
+
+Event job_to_event(const engine::JobMetrics& jm) {
+  Event e;
+  e.kind = EventKind::kJobFinish;
+  e.job = jm.job_id;
+  e.name = jm.name;
+  e.sim_time_s = jm.sim_time_s;
+  e.wall_time_s = jm.wall_time_s;
+  e.list.assign(jm.stage_ids.begin(), jm.stage_ids.end());
+  if (jm.failed) e.flags |= kFlagFailed;
+  e.detail = jm.error;
+  e.stage_attempts = jm.stage_attempts;
+  e.lost_bytes = jm.lost_bytes;
+  put_counters(jm, e);
+  e.resumed_stages = jm.resumed_stages;
+  e.replayed_events = jm.replayed_events;
+  e.restored_bytes = jm.restored_bytes;
+  e.recovery_wall_s = jm.recovery_wall_s;
+  return e;
 }
 
 engine::JobMetrics job_from_event(const Event& e) {
@@ -84,27 +195,12 @@ engine::JobMetrics job_from_event(const Event& e) {
   jm.failed = (e.flags & kFlagFailed) != 0;
   jm.error = e.detail;
   jm.stage_attempts = static_cast<std::size_t>(e.stage_attempts);
-  jm.recomputed_tasks = static_cast<std::size_t>(e.recomputed_tasks);
   jm.lost_bytes = e.lost_bytes;
-  jm.recomputed_bytes = e.recomputed_bytes;
-  jm.recovery_time_s = e.recovery_time_s;
-  jm.fetch_retries = static_cast<std::size_t>(e.fetch_retries);
-  jm.refetched_bytes = e.refetched_bytes;
-  jm.checksum_failures = static_cast<std::size_t>(e.checksum_failures);
-  jm.node_exclusions = static_cast<std::size_t>(e.node_exclusions);
-  jm.oom_count = static_cast<std::size_t>(e.oom_count);
-  jm.evicted_bytes = e.evicted_bytes;
-  jm.spilled_bytes = e.spilled_bytes;
-  jm.peak_resident_bytes = e.peak_resident_bytes;
+  get_counters(e, jm);
   jm.resumed_stages = static_cast<std::size_t>(e.resumed_stages);
   jm.replayed_events = e.replayed_events;
   jm.restored_bytes = e.restored_bytes;
   jm.recovery_wall_s = e.recovery_wall_s;
-  jm.cache_hits = static_cast<std::size_t>(e.cache_hits);
-  jm.cache_misses = static_cast<std::size_t>(e.cache_misses);
-  jm.recompute_saved_bytes = e.recompute_saved_bytes;
-  jm.evictions_lru = static_cast<std::size_t>(e.evictions_lru);
-  jm.evictions_cost = static_cast<std::size_t>(e.evictions_cost);
   return jm;
 }
 

@@ -77,12 +77,25 @@ class HistoryReader {
   std::size_t torn_tail_ = 0;
 };
 
+// The committed-row codec: the engine emits exactly these events and the
+// decoders invert them bit-for-bit (replay, resume and the collector read
+// rows back through them).
+
+/// Encode one committed task of stage row `sm` (plan index `plan_index`)
+/// as a kTaskSpan event.
+Event task_to_event(const engine::StageMetrics& sm, std::size_t plan_index,
+                    const engine::TaskMetrics& tm);
+/// Decode one kTaskSpan event into its TaskMetrics row.
+engine::TaskMetrics task_from_event(const Event& e);
+/// Encode a committed stage row as its kStageEnd event (task rows travel
+/// as separate kTaskSpan events).
+Event stage_to_event(const engine::StageMetrics& sm, std::size_t plan_index);
 /// Decode one kStageEnd event (plus its buffered task spans) back into the
 /// StageMetrics row the live run committed.
 engine::StageMetrics stage_from_event(const Event& e,
                                       std::vector<engine::TaskMetrics> tasks);
-/// Decode one kTaskSpan event into its TaskMetrics row.
-engine::TaskMetrics task_from_event(const Event& e);
+/// Encode a job row as its kJobFinish event.
+Event job_to_event(const engine::JobMetrics& jm);
 /// Decode one kJobFinish event into its JobMetrics row.
 engine::JobMetrics job_from_event(const Event& e);
 

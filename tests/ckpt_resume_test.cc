@@ -5,7 +5,7 @@
 // from the new, self-contained WAL epoch). Every resumed run must reproduce
 // the uninterrupted reference bit-for-bit: same collected rows, same counts,
 // same stage/task/job metrics fingerprint (wall-clock and recovery
-// telemetry excluded).
+// telemetry excluded), and — for the workload arms — the same event log.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,13 +15,21 @@
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/resume.h"
 #include "engine/engine.h"
 #include "obs/event_log.h"
+#include "obs/history.h"
+#include "obs/jsonl.h"
+#include "workloads/kmeans.h"
+#include "workloads/pagerank.h"
+#include "workloads/sql.h"
 
 namespace chopper {
 namespace {
@@ -347,6 +355,194 @@ TEST(CkptResume, HostileJobIdsAreSkippedLines) {
   const DriveOut resumed = drive(dir, small_options(), {}, &plan.ledger);
   EXPECT_FALSE(resumed.crashed);
   expect_same_outcome(resumed, ref);
+}
+
+// ---------------------------------------------------------------------------
+// Event-log equivalence: adoption publishes restored stages through the live
+// commit steps, so a resumed run's new WAL epoch must retell the
+// uninterrupted run's log event for event. Allowed to differ: seq, host
+// time (wall, wall_time_s), the kResume events and the kJobFinish resume
+// provenance. Dataset ids are process-global counters, so both logs number
+// them by first appearance.
+
+std::unique_ptr<workloads::Workload> tiny_workload(const std::string& name) {
+  if (name == "kmeans") {
+    workloads::KMeansParams p;
+    p.data.total_points = 6'000;
+    p.data.dims = 4;
+    p.data.clusters = 4;
+    p.k = 4;
+    p.iterations = 2;
+    p.init_rounds = 3;
+    p.source_partitions = 24;
+    return std::make_unique<workloads::KMeansWorkload>(p);
+  }
+  if (name == "sql") {
+    workloads::SqlParams p;
+    p.fact.total_rows = 20'000;
+    p.fact.num_keys = 1'500;
+    p.dim.num_keys = 1'500;
+    p.fact_partitions = 24;
+    p.dim_partitions = 8;
+    p.fact_agg_partitions = 24;
+    p.dim_agg_partitions = 8;
+    return std::make_unique<workloads::SqlWorkload>(p);
+  }
+  workloads::PageRankParams p;
+  p.num_pages = 2'000;
+  p.avg_out_degree = 6;
+  p.iterations = 2;
+  p.source_partitions = 16;
+  return std::make_unique<workloads::PageRankWorkload>(p);
+}
+
+struct Lifetime {
+  bool crashed = false;
+  std::size_t wal_epoch = 0;  ///< the epoch this lifetime wrote
+  std::uint64_t barriers = 0;
+};
+
+/// One driver lifetime of workload `name` checkpointing into `dir`: crash
+/// right after barrier `crash_at` became durable (-1: never), resuming from
+/// `ledger` when one is given.
+Lifetime drive_workload(const std::string& name, const std::string& dir,
+                        std::int64_t crash_at, engine::ResumeLedger* ledger) {
+  engine::EngineOptions opts;
+  opts.default_parallelism = 24;
+  opts.host_threads = 2;
+  engine::Engine eng(engine::ClusterSpec::uniform(3, 4), opts);
+  obs::EventLog log;
+  ckpt::CheckpointOptions co;
+  co.crash.at_stage_barrier = crash_at;
+  co.crash.after_barrier_flush = true;
+  auto writer = std::make_shared<ckpt::CheckpointWriter>(dir, co);
+  log.attach(writer);
+  eng.set_event_log(&log);
+  eng.set_checkpoint_hook(writer.get());
+  if (ledger != nullptr) eng.set_resume_ledger(ledger);
+  Lifetime out;
+  out.wal_epoch = writer->wal_epoch();
+  try {
+    tiny_workload(name)->run(eng, 1.0);
+  } catch (const ckpt::SimulatedCrash&) {
+    out.crashed = true;
+  }
+  log.detach_all();
+  out.barriers = writer->barriers_seen();
+  if (!out.crashed) {
+    // Whole-row replay parity, resume provenance included.
+    const auto reader =
+        obs::HistoryReader::load(ckpt::wal_path(dir, out.wal_epoch));
+    EXPECT_TRUE(reader.stages() == eng.metrics().stages());
+    EXPECT_TRUE(reader.jobs() == eng.metrics().jobs());
+  }
+  return out;
+}
+
+/// The log at `wal` with every field that may legitimately differ across a
+/// resume neutralized (see above).
+std::vector<obs::Event> comparable_log(const std::string& wal) {
+  std::vector<obs::Event> out;
+  std::unordered_map<std::uint64_t, std::uint64_t> dataset_rank;
+  const obs::HistoryReader reader = obs::HistoryReader::load(wal);
+  for (obs::Event e : reader.events()) {
+    if (e.kind == obs::EventKind::kResume) continue;
+    e.seq = 0;
+    e.wall = 0.0;
+    e.wall_time_s = 0.0;
+    if (e.kind == obs::EventKind::kJobFinish) {
+      e.resumed_stages = 0;
+      e.replayed_events = 0;
+      e.restored_bytes = 0;
+      e.recovery_wall_s = 0.0;
+    }
+    if (e.dataset != obs::kNoId) {
+      const std::uint64_t rank = dataset_rank.size();
+      e.dataset = dataset_rank.emplace(e.dataset, rank).first->second;
+    }
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+std::string identity(const obs::Event& e) {
+  std::ostringstream os;
+  os << obs::to_string(e.kind) << " job=" << e.job << " stage=" << e.stage
+     << " plan_index=" << e.plan_index << " task=" << e.task
+     << " shuffle=" << e.shuffle << " dataset=" << e.dataset;
+  return os.str();
+}
+
+void expect_same_log(const std::vector<obs::Event>& got,
+                     const std::vector<obs::Event>& want) {
+  const auto key = [](const obs::Event& e) {
+    return std::make_tuple(e.kind, e.job, e.stage, e.plan_index, e.task,
+                           e.shuffle, e.dataset);
+  };
+  const std::size_t n = std::min(got.size(), want.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (key(got[i]) != key(want[i])) {
+      ADD_FAILURE() << "event " << i << ": resumed log has "
+                    << identity(got[i]) << ", uninterrupted log has "
+                    << identity(want[i]);
+      return;
+    }
+    if (!(got[i] == want[i])) {
+      ADD_FAILURE() << "event " << i << " (" << identity(want[i])
+                    << ") differs\n  resumed:       " << obs::to_jsonl(got[i])
+                    << "\n  uninterrupted: " << obs::to_jsonl(want[i]);
+      return;
+    }
+  }
+  EXPECT_EQ(got.size(), want.size()) << "event count";
+}
+
+TEST(CkptResume, ResumedEpochMatchesUninterruptedLog) {
+  for (const std::string name : {"sql", "kmeans", "pagerank"}) {
+    SCOPED_TRACE(name);
+    const std::string ref_dir = temp_dir("log_ref_" + name);
+    const Lifetime ref = drive_workload(name, ref_dir, -1, nullptr);
+    ASSERT_FALSE(ref.crashed);
+    ASSERT_GT(ref.barriers, 3u);
+    const auto want = comparable_log(ckpt::wal_path(ref_dir, 0));
+    const auto last = static_cast<std::int64_t>(ref.barriers) - 1;
+    // DESIGN.md §12: stage starts carry the first attempt's P, shuffle
+    // writes the consumer partitioner's P.
+    for (const obs::Event& e : want) {
+      if (e.kind == obs::EventKind::kStageStart ||
+          e.kind == obs::EventKind::kShuffleWrite) {
+        EXPECT_GT(e.num_partitions, 0u) << identity(e);
+      }
+    }
+
+    // Single crash after barrier k, then one resume.
+    for (const std::int64_t k : {std::int64_t{1}, last / 2, last - 1}) {
+      SCOPED_TRACE("crash after barrier " + std::to_string(k));
+      const std::string dir = temp_dir("log_" + name);
+      ASSERT_TRUE(drive_workload(name, dir, k, nullptr).crashed);
+      ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
+      ASSERT_GT(plan.committed_stages, 0u);
+      const Lifetime resumed = drive_workload(name, dir, -1, &plan.ledger);
+      ASSERT_FALSE(resumed.crashed);
+      expect_same_log(comparable_log(ckpt::wal_path(dir, resumed.wal_epoch)),
+                      want);
+    }
+
+    // Double resume: the first resumed lifetime crashes again further along
+    // its own epoch; the second resumes from that epoch alone.
+    SCOPED_TRACE("double resume");
+    const std::string dir = temp_dir("log2_" + name);
+    ASSERT_TRUE(drive_workload(name, dir, last / 3, nullptr).crashed);
+    ckpt::ResumePlan plan1 = ckpt::build_resume_plan(dir);
+    ASSERT_TRUE(drive_workload(name, dir, 2 * last / 3, &plan1.ledger).crashed);
+    ckpt::ResumePlan plan2 = ckpt::build_resume_plan(dir);
+    EXPECT_EQ(plan2.wal_epoch, 1u);
+    const Lifetime resumed = drive_workload(name, dir, -1, &plan2.ledger);
+    ASSERT_FALSE(resumed.crashed);
+    EXPECT_EQ(resumed.wal_epoch, 2u);
+    expect_same_log(comparable_log(ckpt::wal_path(dir, resumed.wal_epoch)),
+                    want);
+  }
 }
 
 TEST(CkptResume, ResumePlanRequiresACheckpointDirectory) {

@@ -173,6 +173,26 @@ TEST(BlockManagerEviction, LruEvictsUnpinnedAndSkipsPinned) {
   EXPECT_EQ(bm.used_bytes(1), 0u);
 }
 
+TEST(BlockManagerEviction, PartitionCountQueryKeepsLruOrder) {
+  MemoryLedger ledger;
+  ledger.init(2);
+
+  BlockManager bm;
+  bm.put(1, make_cached(4, 8));  // oldest
+  const std::uint64_t one_dataset_node0 = bm.used_bytes(0);
+  bm.put(2, make_cached(4, 8));
+
+  // Counting dataset 1's partitions is not an access: it stays the LRU
+  // victim (a pin() here would make dataset 2 the victim instead).
+  EXPECT_EQ(bm.num_partitions(1), 4u);
+  EXPECT_EQ(bm.num_partitions(99), 0u);
+  bm.configure_budget({one_dataset_node0, 1u << 30}, &ledger,
+                      /*ledger_scale=*/1.0);
+  bm.enforce_budget();
+  EXPECT_FALSE(bm.pin(1)->complete());
+  EXPECT_TRUE(bm.pin(2)->complete());
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: eviction healed by lineage recovery.
 // ---------------------------------------------------------------------------

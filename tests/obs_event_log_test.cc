@@ -70,92 +70,19 @@ engine::DatasetPtr sum_by_mod(std::size_t records, std::size_t mod) {
 }
 
 // ---------------------------------------------------------------------------
-// Field-exact metric comparisons. EXPECT_EQ on doubles is deliberate: the
+// Field-exact, whole-row metric comparisons (the defaulted operator==):
+// every field — task rows, telemetry counters and resume provenance
+// included — must survive the log. Doubles compare exactly on purpose: the
 // JSONL writer uses %.17g, so replay must be bit-identical, not just close.
-
-void expect_task_eq(const engine::TaskMetrics& a, const engine::TaskMetrics& b,
-                    const std::string& where) {
-  SCOPED_TRACE(where);
-  EXPECT_EQ(a.task_index, b.task_index);
-  EXPECT_EQ(a.node, b.node);
-  EXPECT_EQ(a.sim_start, b.sim_start);
-  EXPECT_EQ(a.sim_end, b.sim_end);
-  EXPECT_EQ(a.compute_s, b.compute_s);
-  EXPECT_EQ(a.fetch_s, b.fetch_s);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.fetch_retries, b.fetch_retries);
-  EXPECT_EQ(a.records_in, b.records_in);
-  EXPECT_EQ(a.records_out, b.records_out);
-  EXPECT_EQ(a.bytes_in, b.bytes_in);
-  EXPECT_EQ(a.bytes_out, b.bytes_out);
-  EXPECT_EQ(a.shuffle_read_remote, b.shuffle_read_remote);
-  EXPECT_EQ(a.shuffle_read_local, b.shuffle_read_local);
-}
-
 void expect_stage_eq(const engine::StageMetrics& a,
                      const engine::StageMetrics& b) {
   SCOPED_TRACE("stage " + std::to_string(a.stage_id) + " (" + a.name + ")");
-  EXPECT_EQ(a.stage_id, b.stage_id);
-  EXPECT_EQ(a.job_id, b.job_id);
-  EXPECT_EQ(a.signature, b.signature);
-  EXPECT_EQ(a.name, b.name);
-  EXPECT_EQ(a.is_shuffle_map, b.is_shuffle_map);
-  EXPECT_EQ(a.num_partitions, b.num_partitions);
-  EXPECT_EQ(a.partitioner, b.partitioner);
-  EXPECT_EQ(a.anchor_op, b.anchor_op);
-  EXPECT_EQ(a.parent_signatures, b.parent_signatures);
-  EXPECT_EQ(a.fixed_partitions, b.fixed_partitions);
-  EXPECT_EQ(a.user_fixed, b.user_fixed);
-  EXPECT_EQ(a.input_records, b.input_records);
-  EXPECT_EQ(a.input_bytes, b.input_bytes);
-  EXPECT_EQ(a.output_records, b.output_records);
-  EXPECT_EQ(a.output_bytes, b.output_bytes);
-  EXPECT_EQ(a.shuffle_read_bytes, b.shuffle_read_bytes);
-  EXPECT_EQ(a.shuffle_write_bytes, b.shuffle_write_bytes);
-  EXPECT_EQ(a.attempt_count, b.attempt_count);
-  EXPECT_EQ(a.recomputed_tasks, b.recomputed_tasks);
-  EXPECT_EQ(a.recomputed_bytes, b.recomputed_bytes);
-  EXPECT_EQ(a.recovery_time_s, b.recovery_time_s);
-  EXPECT_EQ(a.fetch_retries, b.fetch_retries);
-  EXPECT_EQ(a.refetched_bytes, b.refetched_bytes);
-  EXPECT_EQ(a.checksum_failures, b.checksum_failures);
-  EXPECT_EQ(a.node_exclusions, b.node_exclusions);
-  EXPECT_EQ(a.oom_count, b.oom_count);
-  EXPECT_EQ(a.oomed_partition_counts, b.oomed_partition_counts);
-  EXPECT_EQ(a.evicted_bytes, b.evicted_bytes);
-  EXPECT_EQ(a.spilled_bytes, b.spilled_bytes);
-  EXPECT_EQ(a.peak_resident_bytes, b.peak_resident_bytes);
-  EXPECT_EQ(a.sim_time_s, b.sim_time_s);
-  EXPECT_EQ(a.sim_start_s, b.sim_start_s);
-  EXPECT_EQ(a.wall_time_s, b.wall_time_s);
-  ASSERT_EQ(a.tasks.size(), b.tasks.size());
-  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-    expect_task_eq(a.tasks[i], b.tasks[i], "task " + std::to_string(i));
-  }
+  EXPECT_TRUE(a == b);
 }
 
 void expect_job_eq(const engine::JobMetrics& a, const engine::JobMetrics& b) {
   SCOPED_TRACE("job " + std::to_string(a.job_id) + " (" + a.name + ")");
-  EXPECT_EQ(a.job_id, b.job_id);
-  EXPECT_EQ(a.name, b.name);
-  EXPECT_EQ(a.sim_time_s, b.sim_time_s);
-  EXPECT_EQ(a.wall_time_s, b.wall_time_s);
-  EXPECT_EQ(a.stage_ids, b.stage_ids);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.error, b.error);
-  EXPECT_EQ(a.stage_attempts, b.stage_attempts);
-  EXPECT_EQ(a.recomputed_tasks, b.recomputed_tasks);
-  EXPECT_EQ(a.lost_bytes, b.lost_bytes);
-  EXPECT_EQ(a.recomputed_bytes, b.recomputed_bytes);
-  EXPECT_EQ(a.recovery_time_s, b.recovery_time_s);
-  EXPECT_EQ(a.fetch_retries, b.fetch_retries);
-  EXPECT_EQ(a.refetched_bytes, b.refetched_bytes);
-  EXPECT_EQ(a.checksum_failures, b.checksum_failures);
-  EXPECT_EQ(a.node_exclusions, b.node_exclusions);
-  EXPECT_EQ(a.oom_count, b.oom_count);
-  EXPECT_EQ(a.evicted_bytes, b.evicted_bytes);
-  EXPECT_EQ(a.spilled_bytes, b.spilled_bytes);
-  EXPECT_EQ(a.peak_resident_bytes, b.peak_resident_bytes);
+  EXPECT_TRUE(a == b);
 }
 
 void expect_registry_eq(const engine::MetricsRegistry& live,
@@ -360,6 +287,43 @@ TEST(ObsReplay, FaultAndOomRunReplaysBitExact) {
   engine::MetricsRegistry rebuilt;
   reader.replay_into(rebuilt);
   ASSERT_EQ(rebuilt.stages().size(), eng.metrics().stages().size());
+  std::remove(path.c_str());
+}
+
+TEST(ObsReplay, CachedSpillingRunReplaysWholeRows) {
+  const std::string path = temp_path("obs_replay_cache.jsonl");
+  engine::EngineOptions opts = small_options();
+  // A vanishing spill threshold makes every task's working set spill, and
+  // the second job reads the first job's cache: the rows carry task spills,
+  // core slots and cache telemetry for the whole-row comparison.
+  opts.cost_model.spill_fraction = 1e-9;
+  engine::Engine eng(engine::ClusterSpec::uniform(2, 2), opts);
+  obs::EventLog log;
+  log.attach(std::make_shared<obs::JsonlFileSink>(path));
+  eng.set_event_log(&log);
+  const auto prep = engine::Dataset::source("iota", 8, iota_source(4000))
+                        ->map("id", [](const engine::Record& r) { return r; })
+                        ->cache();
+  eng.count(prep);
+  eng.collect(prep->reduce_by_key(
+      "sum", [](engine::Record& acc, const engine::Record& next) {
+        acc.values[0] += next.values[0];
+      }));
+  eng.set_event_log(nullptr);
+  log.detach_all();
+
+  std::size_t hits = 0, spilled_tasks = 0, later_slots = 0;
+  for (const auto& sm : eng.metrics().stages()) {
+    hits += sm.cache_hits;
+    for (const auto& tm : sm.tasks) {
+      if (tm.spilled_bytes > 0) ++spilled_tasks;
+      if (tm.slot > 0) ++later_slots;
+    }
+  }
+  ASSERT_GT(hits, 0u);
+  ASSERT_GT(spilled_tasks, 0u);
+  ASSERT_GT(later_slots, 0u);
+  expect_registry_eq(eng.metrics(), obs::HistoryReader::load(path));
   std::remove(path.c_str());
 }
 
