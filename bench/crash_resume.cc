@@ -148,8 +148,8 @@ void run_trial(ArmStats& st, const workloads::Workload& wl, double scale,
 
   ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
   bool any_adoptable = false;
-  for (const auto& j : plan.jobs) {
-    if (!j.full_rerun && j.committed_stages > 0) any_adoptable = true;
+  for (const auto& j : plan.ledger.jobs) {
+    if (!j.full_rerun && !j.stages.empty()) any_adoptable = true;
   }
 
   RunOut resumed = run_attempt(wl, scale, opts, dir, {}, &plan.ledger);

@@ -7,6 +7,7 @@
 #include "chopper/cost.h"
 #include "common/logging.h"
 #include "engine/partitioner.h"
+#include "obs/history.h"
 
 namespace chopper::adapt {
 
@@ -119,12 +120,12 @@ bool AdaptiveController::job_enabled_locked(std::uint64_t job) const {
 }
 
 void AdaptiveController::fold_stage_end_locked(const obs::Event& e) {
-  const double d = static_cast<double>(e.bytes_in);
+  const engine::StageMetrics s = obs::stage_from_event(e, {});
+  const double d = static_cast<double>(s.input_bytes);
   // Source stages accumulate the job's input footprint D_w exactly like the
   // offline collector measures it — except streaming: a stage folded before
   // all sources finished sees the partial sum, which later folds refine.
-  if (e.anchor_op == static_cast<std::uint64_t>(engine::OpKind::kSource) &&
-      e.list.empty()) {
+  if (s.anchor_op == engine::OpKind::kSource && s.parent_signatures.empty()) {
     dw_by_job_[e.job] += d;
   }
   double dw = 0.0;
@@ -133,68 +134,19 @@ void AdaptiveController::fold_stage_end_locked(const obs::Event& e) {
   }
   if (dw <= 0.0) dw = 1.0;
 
-  core::WorkloadDb& db = chopper_.db();
-
-  core::Observation o;
-  o.workload = workload_;
-  o.signature = e.signature;
-  o.partitioner = static_cast<engine::PartitionerKind>(e.partitioner);
-  o.workload_input_bytes = dw;
-  o.stage_input_bytes = d;
-  o.num_partitions = static_cast<double>(e.num_partitions);
-  o.t_exe_s = e.sim_time_s;
-  o.shuffle_bytes = static_cast<double>(
-      std::max(e.shuffle_read_bytes, e.shuffle_write_bytes));
-  o.is_default = false;
-  db.add(std::move(o));
+  core::StatsCollector(chopper_.db())
+      .fold_stage(s, workload_, dw, /*is_default=*/false);
   ++stats_.observations;
   ++pending_observations_;
-
-  for (const std::uint64_t p : e.list2) {
-    core::OomRecord r;
-    r.workload = workload_;
-    r.signature = e.signature;
-    r.stage_input_bytes = d;
-    r.num_partitions = static_cast<double>(p);
-    db.add_oom(std::move(r));
-    ++stats_.oom_records;
-  }
-  if (!e.list2.empty()) {
+  stats_.oom_records += s.oomed_partition_counts.size();
+  if (!s.oomed_partition_counts.empty()) {
     // The committed attempt's partition count is *proven* feasible at this
     // stage's real input — a floor the OOM records alone cannot establish
     // (they only bound the failures; counts between P_fail and the grown
     // count are unproven).
-    std::size_t& floor_p = feasible_floor_[e.signature];
-    floor_p = std::max<std::size_t>(floor_p, e.num_partitions);
+    std::size_t& floor_p = feasible_floor_[s.signature];
+    floor_p = std::max(floor_p, s.num_partitions);
   }
-
-  if (e.fetch_retries != 0 || e.refetched_bytes != 0 ||
-      e.checksum_failures != 0 || e.node_exclusions != 0) {
-    core::FaultRecord fr;
-    fr.workload = workload_;
-    fr.signature = e.signature;
-    fr.fetch_retries = e.fetch_retries;
-    fr.refetched_bytes = e.refetched_bytes;
-    fr.checksum_failures = e.checksum_failures;
-    fr.node_exclusions = e.node_exclusions;
-    db.add_fault(std::move(fr));
-  }
-
-  core::StageStructure st;
-  st.signature = e.signature;
-  st.name = e.name;
-  st.anchor_op = static_cast<engine::OpKind>(e.anchor_op);
-  st.fixed_partitions = (e.flags & obs::kFlagFixedPartitions) != 0;
-  st.user_fixed = (e.flags & obs::kFlagUserFixed) != 0;
-  st.parents.insert(e.list.begin(), e.list.end());
-  st.input_ratio_sum = d / dw;
-  st.input_ratio_count = 1;
-  st.dw_sum = dw;
-  st.d_sum = d;
-  st.dw2_sum = dw * dw;
-  st.dwd_sum = dw * d;
-  st.fit_count = 1;
-  db.add_structure(workload_, std::move(st));
 }
 
 void AdaptiveController::maybe_replan_locked(const obs::Event& trigger) {

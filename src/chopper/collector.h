@@ -35,6 +35,14 @@ class StatsCollector {
                 const std::string& workload, double workload_input_bytes,
                 bool is_default);
 
+  /// Fold one committed stage row at workload input `workload_input_bytes`
+  /// (D_w, > 0): its Observation, an OomRecord per OOMed partition count, a
+  /// FaultRecord when the stage healed a transient fault, and its
+  /// StageStructure. ingest() folds every stage of a run through this; the
+  /// adaptive controller folds each live kStageEnd at its streaming D_w.
+  void fold_stage(const engine::StageMetrics& s, const std::string& workload,
+                  double workload_input_bytes, bool is_default);
+
  private:
   WorkloadDb& db_;
   obs::EventLog* event_log_ = nullptr;  ///< not owned; may be null

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -264,16 +265,18 @@ read_kv_snapshot(const std::string& path) {
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
   std::fclose(f);
 
+  // The footer is exactly "#sum=<hex digest>\n", the file's last line.
   const std::size_t sum_at = content.rfind("#sum=");
-  if (sum_at == std::string::npos) return std::nullopt;
-  const std::string sum_line = content.substr(sum_at);
-  unsigned long long stored = 0;
-  if (std::sscanf(sum_line.c_str(), "#sum=%llx", &stored) != 1) {
+  if (sum_at == std::string::npos || content.back() != '\n') {
     return std::nullopt;
   }
+  const std::string_view hex = std::string_view(content).substr(
+      sum_at + 5, content.size() - sum_at - 6);
+  const auto stored = common::parse_int<std::uint64_t, 16>(hex);
+  if (!stored) return std::nullopt;
   common::Checksum64 sum;
   sum.update_bytes(content.data(), sum_at);
-  if (sum.digest() != stored) return std::nullopt;
+  if (sum.digest() != *stored) return std::nullopt;
 
   std::vector<std::pair<std::string, std::string>> kv;
   std::size_t pos = 0;

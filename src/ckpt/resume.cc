@@ -131,6 +131,8 @@ ResumePlan build_resume_plan(const std::string& dir) {
   if (!jobs.empty()) plan.ledger.jobs.resize(jobs.rbegin()->first + 1);
   for (auto& [jid, jb] : jobs) {
     engine::JobResume& jr = plan.ledger.jobs[jid];
+    jr.name = jb.name;
+    jr.finished = jb.finished;
     jr.replayed_events = jb.events;
 
     // Committed prefix: contiguous plan indices 0..k-1 with a durable
@@ -196,8 +198,6 @@ ResumePlan build_resume_plan(const std::string& dir) {
     plan.restored_bytes += jr.restored_bytes;
     plan.committed_stages += jr.stages.size();
     if (jb.finished) ++plan.finished_jobs;
-    plan.jobs.push_back(JobRecovery{jid, jb.name, jr.stages.size(),
-                                    jb.finished, jr.full_rerun});
   }
   return plan;
 }

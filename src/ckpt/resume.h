@@ -15,20 +15,10 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "engine/resume.h"
 
 namespace chopper::ckpt {
-
-/// One job's recovery summary, for operator-facing output.
-struct JobRecovery {
-  std::size_t job_id = 0;
-  std::string name;
-  std::size_t committed_stages = 0;  ///< adopted prefix length
-  bool finished = false;             ///< kJobFinish durable: pure replay
-  bool full_rerun = false;           ///< block loss: deterministic re-execution
-};
 
 struct ResumePlan {
   engine::ResumeLedger ledger;
@@ -41,7 +31,6 @@ struct ResumePlan {
   std::size_t committed_stages = 0;  ///< across all jobs
   std::size_t finished_jobs = 0;
   std::uint64_t restored_bytes = 0;  ///< block payload bytes loaded
-  std::vector<JobRecovery> jobs;
 };
 
 /// Decode checkpoint directory `dir`. Throws std::runtime_error when the

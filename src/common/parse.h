@@ -22,13 +22,14 @@ class ParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A whole decimal integer in T's range: no whitespace, '+', exponent or
-/// wrap-around; unsigned T takes no sign at all.
-template <std::integral T>
+/// A whole integer in T's range, in base `Base` (decimal by default): no
+/// whitespace, '+', exponent, radix prefix ("0x") or wrap-around; unsigned T
+/// takes no sign at all.
+template <std::integral T, int Base = 10>
 std::optional<T> parse_int(std::string_view s) noexcept {
   T out{};
   const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out, Base);
   if (s.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
   return out;
 }

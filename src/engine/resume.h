@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "engine/block_manager.h"
@@ -78,10 +79,14 @@ struct StageRestore {
 /// Resume state for one job, keyed by the job's engine-assigned id (a
 /// deterministic driver re-runs the same job sequence, so ids line up).
 struct JobResume {
+  std::string name;       ///< from kJobSubmit, for operator-facing output
+  bool finished = false;  ///< kJobFinish durable
   /// The committed prefix was not clean (retries, OOMs, recovery, missing or
   /// corrupt block files): adopt nothing and deterministically re-execute.
   bool full_rerun = false;
   std::vector<StageRestore> stages;  ///< committed prefix, plan order
+  /// WAL events of this job; 0 for an id the log never named (a job that
+  /// had not started before the crash).
   std::uint64_t replayed_events = 0;
   std::uint64_t restored_bytes = 0;  ///< block-file payload bytes loaded
 };

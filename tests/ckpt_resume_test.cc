@@ -258,7 +258,7 @@ TEST(CkptResume, CrashAfterFinalStageIsPureReplay) {
   EXPECT_GT(resumed.replayed_events, 0u);
   // Pure replay restores every committed stage instead of executing it.
   std::size_t total_stages = 0;
-  for (const auto& j : plan.jobs) total_stages += j.committed_stages;
+  for (const auto& j : plan.ledger.jobs) total_stages += j.stages.size();
   EXPECT_EQ(resumed.resumed_stages, total_stages);
   expect_same_outcome(resumed, ref);
 }

@@ -100,11 +100,14 @@ TEST(CkptService, ConcurrentServeWritesAResumableWal) {
   // for every job that finished.
   const ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
   EXPECT_EQ(plan.finished_jobs, kJobs);
-  EXPECT_EQ(plan.jobs.size(), kJobs);
+  EXPECT_EQ(plan.ledger.jobs.size(), kJobs);
   EXPECT_GT(plan.committed_stages, 0u);
   EXPECT_EQ(plan.torn_tail_lines, 0u);
   EXPECT_EQ(plan.skipped_lines, 0u);
-  for (const auto& j : plan.jobs) EXPECT_TRUE(j.finished);
+  for (const auto& j : plan.ledger.jobs) {
+    EXPECT_GT(j.replayed_events, 0u);
+    EXPECT_TRUE(j.finished);
+  }
 }
 
 TEST(CkptService, AdmitCompletedReplaysAFinishedJob) {

@@ -189,6 +189,28 @@ TEST(CkptWal, KvSnapshotRoundTripAndIntegrity) {
   }
   EXPECT_FALSE(ckpt::read_kv_snapshot(path).has_value());
   EXPECT_FALSE(ckpt::read_kv_snapshot(dir + "/missing.kv").has_value());
+
+  // The sum footer is one whole hex token: a 17-digit (out-of-range) sum, a
+  // radix prefix or trailing junk is rejected even around the right digits.
+  ASSERT_TRUE(ckpt::write_kv_snapshot(path, kv, /*sync=*/false));
+  std::string good;
+  {
+    std::ifstream in(path);
+    good.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const auto sum_at = good.rfind("#sum=");
+  ASSERT_NE(sum_at, std::string::npos);
+  const std::string head = good.substr(0, sum_at + 5);
+  const std::string digits = good.substr(sum_at + 5, 16);
+  for (const std::string& footer :
+       {"1" + digits + "\n", "0x" + digits + "\n", digits + " junk\n"}) {
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << head << footer;
+    }
+    EXPECT_FALSE(ckpt::read_kv_snapshot(path).has_value()) << footer;
+  }
 }
 
 TEST(CkptWal, JsonlFileSinkFlushesAtBarriers) {

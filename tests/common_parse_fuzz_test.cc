@@ -505,9 +505,6 @@ void check_wal_text(const std::string& dir, const std::string& wal) {
   try {
     const ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
     EXPECT_LE(plan.ledger.jobs.size(), plan.events);
-    for (const auto& j : plan.jobs) {
-      EXPECT_LT(j.job_id, plan.ledger.jobs.size());
-    }
   } catch (const common::ParseError&) {
   }
 }

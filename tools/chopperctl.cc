@@ -42,8 +42,8 @@
 //   chopperctl resume DIR
 //       Crash recovery (DESIGN.md §16): decode the newest WAL segment of a
 //       checkpoint directory written by `run --checkpoint DIR` or
-//       `serve --checkpoint DIR`, rebuild the identical run from the
-//       recorded runspec, and continue from the first uncommitted stage.
+//       `serve --checkpoint DIR` and re-enter that command with the flags
+//       runspec.kv recorded (all but the checkpoint-control ones).
 //       Committed stages are adopted from the WAL + block files (classic
 //       runs) or finished jobs are re-admitted without re-execution (serve);
 //       everything else re-executes deterministically, so the final results
@@ -71,7 +71,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -345,50 +347,78 @@ engine::DatasetPtr make_serve_job(std::size_t i, bool tiny, std::string* name,
   return bench::service_small_job(i);
 }
 
-/// The keys a run/serve invocation records for `resume DIR` (runspec.kv).
-using RunSpec = std::map<std::string, std::string>;
+/// Flags that steer checkpointing itself. runspec.kv records every other flag
+/// of a checkpointed run/serve, so `resume DIR` re-enters the command with
+/// the configuration it was given; these stay out so the resumed process
+/// does not crash on schedule again, write elsewhere or overwrite the
+/// original --event-log. `resume` takes --sync from its own command line.
+const std::set<std::string> kCheckpointControlFlags = {
+    "checkpoint",       "sync",              "crash-at-seq",
+    "crash-at-barrier", "crash-after-flush", "event-log"};
 
-/// EngineOptions of `run`, built from its runspec so `resume` rebuilds the
-/// exact engine the checkpointed run used.
-engine::EngineOptions run_engine_options(RunSpec& rs) {
+/// runspec.kv key prefix of a recorded flag. A snapshot with any other key
+/// (besides `command`) is an older format and is refused, not resumed under
+/// a different configuration.
+constexpr std::string_view kFlagKey = "flag.";
+
+engine::EngineOptions run_engine_options(const Args& args) {
   engine::EngineOptions opts = bench::vanilla_options();
-  if (rs["speculation"] == "1") opts.speculation.enabled = true;
-  if (rs["aqe"] == "1") {
+  if (args.has("speculation")) opts.speculation.enabled = true;
+  if (args.has("aqe")) {
     opts.adaptive.enabled = true;
     opts.adaptive.target_partition_bytes = 24ULL << 20;
     opts.adaptive.min_partitions = 8;
   }
-  if (rs["mem-enforce"] == "1") opts.memory.enforce = true;
+  // --mem-scale turns enforcement on even at 1.0.
+  if (args.has("mem-scale")) opts.memory.enforce = true;
   return opts;
 }
 
-/// JobServerOptions of `serve`, built from its runspec so `resume` re-serves
-/// the job mix under the same scheduler, slots and pools.
-service::JobServerOptions serve_options(RunSpec& rs) {
-  const auto count = [&rs](const char* key, std::size_t fallback) {
-    return rs.count(key) ? parse_flag<std::size_t>(key, rs[key]) : fallback;
-  };
+service::JobServerOptions serve_options(const Args& args) {
+  const std::string mode = args.get("mode", "fifo");
+  if (mode != "fifo" && mode != "fair") {
+    throw UsageError("invalid --mode '" + mode + "' (fifo|fair)");
+  }
   service::JobServerOptions sopts;
-  sopts.mode = rs["mode"] == "fair" ? service::SchedulingMode::kFair
-                                    : service::SchedulingMode::kFifo;
-  sopts.max_concurrent_jobs = count("max-concurrent", 4);
-  sopts.max_queued_jobs = count("jobs", 8) + 1;
+  sopts.mode = mode == "fair" ? service::SchedulingMode::kFair
+                              : service::SchedulingMode::kFifo;
+  sopts.max_concurrent_jobs = args.get_size("max-concurrent", 4);
+  sopts.max_queued_jobs = args.get_size("jobs", 8) + 1;
   sopts.pools["interactive"] = {/*weight=*/2.0, /*min_share=*/0.2};
   sopts.pools["batch"] = {/*weight=*/1.0, /*min_share=*/0.0};
   return sopts;
 }
 
-/// Attach a checkpoint WAL writer to a run/serve invocation and record the
-/// runspec `resume DIR` needs to rebuild the identical process. Refuses
-/// --adapt: in-flight re-planning would let the restarted run choose a
-/// different plan, voiding the bit-identical-resume contract.
-std::shared_ptr<ckpt::CheckpointWriter> attach_checkpoint(
-    const Args& args, obs::EventLog& event_log, engine::Engine& eng,
-    const RunSpec& runspec) {
+/// Attach the --event-log file sink and the --checkpoint WAL writer (null
+/// without --checkpoint) to a run/serve engine, before any JobServer is built
+/// on it: the server's slot ledger wires into the engine's log. The writer
+/// records the command and its flags (runspec.kv) so `resume DIR` can
+/// re-enter it. --checkpoint refuses --adapt: in-flight re-planning would let
+/// the restarted run choose a different plan, voiding bit-identical resume.
+std::shared_ptr<ckpt::CheckpointWriter> attach_sinks(const Args& args,
+                                                     obs::EventLog& event_log,
+                                                     engine::Engine& eng) {
+  if (args.has("event-log")) {
+    event_log.attach(
+        std::make_shared<obs::JsonlFileSink>(args.get("event-log")));
+    eng.set_event_log(&event_log);
+    std::printf("recording event log to %s\n", args.get("event-log").c_str());
+  }
+  if (!args.has("checkpoint")) return nullptr;
   if (args.has("adapt")) {
     throw UsageError(
         "--checkpoint cannot be combined with --adapt (in-flight re-planning "
         "breaks bit-identical resume)");
+  }
+  std::vector<std::pair<std::string, std::string>> runspec = {
+      {"command", args.command}};
+  for (const auto& [flag, value] : args.flags) {
+    if (kCheckpointControlFlags.count(flag) != 0) continue;
+    if (value.find('\n') != std::string::npos) {
+      throw UsageError("--" + flag +
+                       " value spans lines; runspec.kv cannot record it");
+    }
+    runspec.emplace_back(std::string(kFlagKey) + flag, value);
   }
   const std::string dir = args.get("checkpoint");
   ckpt::CheckpointOptions copts;
@@ -406,34 +436,39 @@ std::shared_ptr<ckpt::CheckpointWriter> attach_checkpoint(
   event_log.attach(writer);
   eng.set_event_log(&event_log);
   eng.set_checkpoint_hook(writer.get());
-  ckpt::write_kv_snapshot(dir + "/runspec.kv", {runspec.begin(), runspec.end()},
-                          copts.sync);
+  ckpt::write_kv_snapshot(dir + "/runspec.kv", runspec, copts.sync);
   std::printf("checkpointing to %s (wal epoch %zu%s)\n", dir.c_str(),
               writer->wal_epoch(), copts.sync ? ", fsync" : "");
   return writer;
 }
 
-void print_checkpoint_summary(const ckpt::CheckpointWriter& w) {
+/// Detach every sink and report what the event log and WAL recorded.
+void close_sinks(const Args& args, obs::EventLog& event_log,
+                 const ckpt::CheckpointWriter* w) {
+  event_log.detach_all();
+  if (args.has("event-log")) {
+    std::printf("event log: %llu events -> %s\n",
+                static_cast<unsigned long long>(event_log.emitted()),
+                args.get("event-log").c_str());
+  }
+  if (w == nullptr) return;
   std::printf(
       "checkpoint: %llu events -> wal epoch %zu, %llu block files "
       "(%.1f KB payload)\n",
-      static_cast<unsigned long long>(w.events_appended()), w.wal_epoch(),
-      static_cast<unsigned long long>(w.blocks_written()),
-      static_cast<double>(w.block_bytes_written()) / 1024.0);
+      static_cast<unsigned long long>(w->events_appended()), w->wal_epoch(),
+      static_cast<unsigned long long>(w->blocks_written()),
+      static_cast<double>(w->block_bytes_written()) / 1024.0);
 }
 
 /// Per-job recovery telemetry pulled from the engine's JobMetrics rows
 /// (populated by the scheduler's adopt_restored path).
 void print_recovery_telemetry(const engine::Engine& eng) {
-  bool any = false;
-  for (const auto& jm : eng.metrics().jobs()) {
-    if (jm.resumed_stages > 0 || jm.replayed_events > 0) any = true;
-  }
-  if (!any) return;
   bench::Table rt({"job", "name", "resumed", "replayed", "restored(KB)",
                    "recovery(ms)"});
+  bool any = false;
   for (const auto& jm : eng.metrics().jobs()) {
     if (jm.resumed_stages == 0 && jm.replayed_events == 0) continue;
+    any = true;
     rt.add_row({std::to_string(jm.job_id), jm.name,
                 std::to_string(jm.resumed_stages),
                 std::to_string(jm.replayed_events),
@@ -441,6 +476,7 @@ void print_recovery_telemetry(const engine::Engine& eng) {
                     static_cast<double>(jm.restored_bytes) / 1024.0, 1),
                 bench::Table::num(jm.recovery_wall_s * 1000.0, 2)});
   }
+  if (!any) return;
   std::printf("\nrecovery telemetry (stages adopted from the WAL):\n");
   rt.print();
 }
@@ -566,7 +602,10 @@ int cmd_plan(const Args& args) {
   return 0;
 }
 
-int cmd_run(const Args& args) {
+/// `run`, or with `resume` its continuation: the resume ledger skips every
+/// committed stage the engine can prove clean, the rest re-execute
+/// deterministically.
+int cmd_run(const Args& args, ckpt::ResumePlan* resume = nullptr) {
   const auto wl = make_workload(args.get("workload"), args.has("tiny"));
   if (!wl) {
     std::fprintf(stderr, "unknown --workload (kmeans|pca|sql)\n");
@@ -578,18 +617,7 @@ int cmd_run(const Args& args) {
     throw UsageError("--crash-at-* requires --checkpoint DIR");
   }
   const double scale = args.get_double("scale", 1.0);
-  RunSpec spec = {
-      {"command", "run"},
-      {"workload", args.get("workload")},
-      {"scale", args.get("scale", "1")},
-      {"tiny", args.has("tiny") ? "1" : "0"},
-      {"conf", args.get("conf")},
-      {"speculation", args.has("speculation") ? "1" : "0"},
-      {"aqe", args.has("aqe") ? "1" : "0"},
-      // --mem-scale turns enforcement on even at 1.0, so record both.
-      {"mem-scale", args.get("mem-scale", "1")},
-      {"mem-enforce", args.has("mem-scale") ? "1" : "0"}};
-  const engine::EngineOptions opts = run_engine_options(spec);
+  const engine::EngineOptions opts = run_engine_options(args);
   double mem_scale = 1.0;
   if (args.has("mem-scale")) {
     mem_scale = args.get_double("mem-scale", 1.0);
@@ -602,16 +630,8 @@ int cmd_run(const Args& args) {
   }
   engine::Engine eng(bench::bench_cluster(mem_scale), opts);
   obs::EventLog event_log;
-  if (args.has("event-log")) {
-    event_log.attach(
-        std::make_shared<obs::JsonlFileSink>(args.get("event-log")));
-    eng.set_event_log(&event_log);
-    std::printf("recording event log to %s\n", args.get("event-log").c_str());
-  }
-  std::shared_ptr<ckpt::CheckpointWriter> ckpt_writer;
-  if (args.has("checkpoint")) {
-    ckpt_writer = attach_checkpoint(args, event_log, eng, spec);
-  }
+  const auto ckpt_writer = attach_sinks(args, event_log, eng);
+  if (resume != nullptr) eng.set_resume_ledger(&resume->ledger);
 
   common::KvConfig initial_plan;
   std::shared_ptr<core::ConfigPlanProvider> provider;
@@ -690,6 +710,7 @@ int cmd_run(const Args& args) {
     return 0;
   }
   print_stages(eng);
+  print_recovery_telemetry(eng);
   if (controller != nullptr) {
     const adapt::AdaptStats ast = controller->stats();
     std::printf(
@@ -708,13 +729,7 @@ int cmd_run(const Args& args) {
     }
     std::printf("\n");
   }
-  event_log.detach_all();
-  if (args.has("event-log")) {
-    std::printf("event log: %llu events -> %s\n",
-                static_cast<unsigned long long>(event_log.emitted()),
-                args.get("event-log").c_str());
-  }
-  if (ckpt_writer != nullptr) print_checkpoint_summary(*ckpt_writer);
+  close_sinks(args, event_log, ckpt_writer.get());
   return 0;
 }
 
@@ -741,33 +756,57 @@ int cmd_inspect(const Args& args) {
   return 0;
 }
 
-int cmd_serve(const Args& args) {
-  const std::size_t jobs = args.get_size("jobs", 8);
-  const std::size_t max_concurrent = args.get_size("max-concurrent", 4);
-  const std::string mode_s = args.get("mode", "fifo");
-  if (mode_s != "fifo" && mode_s != "fair") {
-    throw UsageError("invalid --mode '" + mode_s + "' (fifo|fair)");
+/// Serve resume: copy the finished jobs' durable history into the new WAL
+/// epoch, so the epoch stays self-contained, and decode their kJobFinish
+/// rows into re-admittable results keyed by job id (== submission index).
+/// kJobFinish carries a job's execution record, not its result payload: a
+/// re-admitted handle surfaces metrics and success state.
+std::map<std::size_t, engine::JobResult> carry_finished_jobs(
+    const ckpt::ResumePlan& plan, ckpt::CheckpointWriter& writer) {
+  std::map<std::size_t, engine::JobResult> finished;
+  using K = obs::EventKind;
+  const obs::HistoryReader hr = obs::HistoryReader::load(plan.wal);
+  for (const auto& e : hr.events()) {
+    const auto jid = static_cast<std::size_t>(e.job);
+    if (jid >= plan.ledger.jobs.size() || !plan.ledger.jobs[jid].finished) {
+      continue;
+    }
+    switch (e.kind) {
+      case K::kJobFinish: {
+        engine::JobResult& r = finished[jid];
+        static_cast<engine::JobMetrics&>(r) = obs::job_from_event(e);
+        r.replayed_events = r.stage_ids.size();
+        [[fallthrough]];
+      }
+      case K::kJobSubmit:
+      case K::kStageStart:
+      case K::kTaskSpan:
+      case K::kShuffleWrite:
+      case K::kBlockStore:
+      case K::kStageEnd:
+        writer.append(e);
+        break;
+      default:
+        break;
+    }
   }
+  return finished;
+}
+
+/// `serve`, or with `resume` its continuation: jobs whose kJobFinish is
+/// durable are re-admitted without re-executing, the rest are re-submitted
+/// and re-run whole. Service jobs run against per-job virtual clocks, so
+/// stage adoption does not apply — recovery here is job-granular.
+int cmd_serve(const Args& args, const ckpt::ResumePlan* resume = nullptr) {
+  const std::size_t jobs = args.get_size("jobs", 8);
+  const service::JobServerOptions sopts = serve_options(args);
   const bool tiny = args.has("tiny");
-  RunSpec spec = {{"command", "serve"},
-                  {"jobs", std::to_string(jobs)},
-                  {"mode", mode_s},
-                  {"max-concurrent", std::to_string(max_concurrent)},
-                  {"tiny", tiny ? "1" : "0"}};
 
   engine::Engine eng(bench::bench_cluster(), bench::vanilla_options());
   obs::EventLog event_log;
-  if (args.has("event-log")) {
-    event_log.attach(
-        std::make_shared<obs::JsonlFileSink>(args.get("event-log")));
-    eng.set_event_log(&event_log);  // before JobServer: the ledger wires in
-    std::printf("recording event log to %s\n", args.get("event-log").c_str());
-  }
-  std::shared_ptr<ckpt::CheckpointWriter> ckpt_writer;
-  if (args.has("checkpoint")) {
-    // Also before JobServer construction, for the same ledger reason.
-    ckpt_writer = attach_checkpoint(args, event_log, eng, spec);
-  }
+  const auto ckpt_writer = attach_sinks(args, event_log, eng);
+  std::map<std::size_t, engine::JobResult> finished;
+  if (resume != nullptr) finished = carry_finished_jobs(*resume, *ckpt_writer);
 
   // --adapt: adaptive controller shared by all workers; every job opts in.
   std::unique_ptr<core::Chopper> chopper;
@@ -797,7 +836,6 @@ int cmd_serve(const Args& args) {
     std::printf("cache policy: cost-aware eviction with pool shares\n");
   }
 
-  const service::JobServerOptions sopts = serve_options(spec);
   service::JobServer server(eng, sopts);
   if (controller != nullptr) server.set_adaptive(controller);
   if (cache_planner != nullptr) {
@@ -805,19 +843,21 @@ int cmd_serve(const Args& args) {
   }
 
   std::printf("serving %zu jobs, mode=%s, %zu concurrent slots\n", jobs,
-              service::to_string(sopts.mode), max_concurrent);
+              service::to_string(sopts.mode), sopts.max_concurrent_jobs);
 
   std::vector<service::JobHandle> handles;
-  std::vector<std::string> names;
-  std::vector<std::string> pools;
+  std::vector<service::SubmitOptions> submitted;
   for (std::size_t i = 0; i < jobs; ++i) {
     service::SubmitOptions o;
     engine::DatasetPtr ds = make_serve_job(i, tiny, &o.name, &o.pool);
     o.adapt = controller != nullptr;
-    names.push_back(o.name);
-    pools.push_back(o.pool);
+    submitted.push_back(o);
     if (cache_planner != nullptr) cache_planner->set_job_pool(o.name, o.pool);
-    handles.push_back(server.submit(ds, o));
+    const auto it = finished.find(i);
+    handles.push_back(
+        it == finished.end()
+            ? server.submit(ds, o)
+            : server.admit_completed(o.name, std::move(it->second)));
   }
   server.wait_all();
 
@@ -832,7 +872,8 @@ int cmd_serve(const Args& args) {
       h.wait();
     } catch (const engine::JobAbortedError&) {
     }
-    table.add_row({names[i], pools[i], service::to_string(h.status()),
+    table.add_row({submitted[i].name, submitted[i].pool,
+                   service::to_string(h.status()),
                    bench::Table::num(st.submit_vtime, 1),
                    bench::Table::num(st.admit_vtime, 1),
                    bench::Table::num(st.finish_vtime, 1),
@@ -872,162 +913,13 @@ int cmd_serve(const Args& args) {
         cache_planner->decisions_made(), chits, cmisses,
         static_cast<double>(csaved) / 1024.0);
   }
-  event_log.detach_all();
-  if (args.has("event-log")) {
-    std::printf("event log: %llu events -> %s\n",
-                static_cast<unsigned long long>(event_log.emitted()),
-                args.get("event-log").c_str());
-  }
-  if (ckpt_writer != nullptr) print_checkpoint_summary(*ckpt_writer);
+  close_sinks(args, event_log, ckpt_writer.get());
   return 0;
 }
 
-/// `resume DIR` for a checkpoint written by `run --checkpoint`: rebuild the
-/// identical workload + engine from the runspec, arm the resume ledger and
-/// re-run the driver — adopt_restored skips every committed stage, the rest
-/// re-execute deterministically.
-int resume_run(const Args& args, const std::string& dir,
-               ckpt::ResumePlan& plan, RunSpec& rs) {
-  const bool tiny = rs["tiny"] == "1";
-  const auto wl = make_workload(rs["workload"], tiny);
-  if (!wl) {
-    std::fprintf(stderr, "error: runspec names unknown workload '%s'\n",
-                 rs["workload"].c_str());
-    return 1;
-  }
-  const double scale =
-      rs.count("scale") ? parse_flag<double>("scale", rs["scale"]) : 1.0;
-  const double mem_scale =
-      rs.count("mem-scale") ? parse_flag<double>("mem-scale", rs["mem-scale"])
-                            : 1.0;
-  engine::Engine eng(bench::bench_cluster(mem_scale), run_engine_options(rs));
-  obs::EventLog event_log;
-  ckpt::CheckpointOptions copts;
-  copts.sync = args.has("sync");
-  auto writer = std::make_shared<ckpt::CheckpointWriter>(dir, copts);
-  event_log.attach(writer);
-  eng.set_event_log(&event_log);
-  eng.set_checkpoint_hook(writer.get());
-  if (!rs["conf"].empty()) {
-    const auto conf = common::KvConfig::load(rs["conf"], /*tolerant=*/true);
-    eng.set_plan_provider(std::make_shared<core::ConfigPlanProvider>(conf));
-  }
-  eng.set_resume_ledger(&plan.ledger);
-
-  std::printf("resuming %s (scale %.2f) into wal epoch %zu\n",
-              rs["workload"].c_str(), scale, writer->wal_epoch());
-  wl->run(eng, scale);
-  print_stages(eng);
-  print_recovery_telemetry(eng);
-  event_log.detach_all();
-  print_checkpoint_summary(*writer);
-  return 0;
-}
-
-/// `resume DIR` for a checkpoint written by `serve --checkpoint`: rebuild
-/// the identical job mix, re-admit jobs whose kJobFinish is durable without
-/// re-executing them (their history is carried into the new epoch so it
-/// stays self-contained), and re-submit the rest for deterministic re-run.
-/// Service jobs run against per-job virtual clocks, so stage adoption does
-/// not apply — recovery here is job-granular, not stage-granular.
-int resume_serve(const Args& args, const std::string& dir,
-                 ckpt::ResumePlan& plan, RunSpec& rs) {
-  const bool tiny = rs["tiny"] == "1";
-  const std::size_t jobs =
-      rs.count("jobs") ? parse_flag<std::size_t>("jobs", rs["jobs"]) : 8;
-
-  engine::Engine eng(bench::bench_cluster(), bench::vanilla_options());
-  obs::EventLog event_log;
-  ckpt::CheckpointOptions copts;
-  copts.sync = args.has("sync");
-  auto writer = std::make_shared<ckpt::CheckpointWriter>(dir, copts);
-  event_log.attach(writer);
-  eng.set_event_log(&event_log);  // before JobServer: the ledger wires in
-  eng.set_checkpoint_hook(writer.get());
-
-  // Carry the finished jobs' durable history forward into the new epoch and
-  // decode their kJobFinish rows into re-admittable results.
-  std::map<std::size_t, engine::JobMetrics> finished;
-  for (const auto& j : plan.jobs) {
-    if (j.finished) finished[j.job_id] = engine::JobMetrics{};
-  }
-  const obs::HistoryReader hr = obs::HistoryReader::load(plan.wal);
-  for (const auto& e : hr.events()) {
-    const auto jid = static_cast<std::size_t>(e.job);
-    if (finished.count(jid) == 0) continue;
-    switch (e.kind) {
-      case obs::EventKind::kJobSubmit:
-      case obs::EventKind::kStageStart:
-      case obs::EventKind::kTaskSpan:
-      case obs::EventKind::kShuffleWrite:
-      case obs::EventKind::kBlockStore:
-      case obs::EventKind::kStageEnd:
-        writer->append(e);
-        break;
-      case obs::EventKind::kJobFinish:
-        finished[jid] = obs::job_from_event(e);
-        writer->append(e);
-        break;
-      default:
-        break;
-    }
-  }
-
-  const service::JobServerOptions sopts = serve_options(rs);
-  service::JobServer server(eng, sopts);
-
-  std::printf(
-      "re-serving %zu jobs (%zu finished re-admitted, %zu re-run), mode=%s, "
-      "wal epoch %zu\n",
-      jobs, finished.size(), jobs - std::min(jobs, finished.size()),
-      service::to_string(sopts.mode), writer->wal_epoch());
-
-  std::vector<service::JobHandle> handles;
-  std::vector<std::string> names;
-  std::vector<std::string> pools;
-  for (std::size_t i = 0; i < jobs; ++i) {
-    std::string name, pool;
-    engine::DatasetPtr ds = make_serve_job(i, tiny, &name, &pool);
-    names.push_back(name);
-    pools.push_back(pool);
-    const auto it = finished.find(i);
-    if (it != finished.end()) {
-      // kJobFinish carries the job's execution record, not its result
-      // payload; a re-admitted handle surfaces metrics + success state.
-      engine::JobResult r;
-      static_cast<engine::JobMetrics&>(r) = it->second;
-      if (r.name.empty()) r.name = name;
-      r.replayed_events = r.stage_ids.size();
-      handles.push_back(server.admit_completed(name, std::move(r)));
-    } else {
-      service::SubmitOptions o;
-      o.name = name;
-      o.pool = pool;
-      handles.push_back(server.submit(ds, o));
-    }
-  }
-  server.wait_all();
-
-  bench::Table table({"job", "pool", "state", "recovery", "service(s)",
-                      "latency(s)"});
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    auto& h = handles[i];
-    const auto st = h.stats();
-    try {
-      h.wait();
-    } catch (const engine::JobAbortedError&) {
-    }
-    table.add_row({names[i], pools[i], service::to_string(h.status()),
-                   finished.count(i) != 0 ? "replayed" : "re-run",
-                   bench::Table::num(st.service_s, 1),
-                   bench::Table::num(st.latency_s(), 1)});
-  }
-  table.print();
-  event_log.detach_all();
-  print_checkpoint_summary(*writer);
-  return 0;
-}
-
+/// `resume DIR`: re-enter the command runspec.kv recorded, with its flags,
+/// the resume ledger decoded from the newest WAL epoch and a fresh epoch of
+/// its own (so a second crash resumes too).
 int cmd_resume(const Args& args) {
   if (args.positional.empty()) {
     std::fprintf(stderr, "resume requires a checkpoint DIR operand\n");
@@ -1036,24 +928,6 @@ int cmd_resume(const Args& args) {
   }
   const std::string dir = args.positional.front();
   ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
-  std::printf(
-      "resume plan: wal epoch %zu, %zu events (%zu torn, %zu skipped), "
-      "%zu committed stage(s), %zu finished job(s), %.1f KB restorable\n",
-      plan.wal_epoch, plan.events, plan.torn_tail_lines, plan.skipped_lines,
-      plan.committed_stages, plan.finished_jobs,
-      static_cast<double>(plan.restored_bytes) / 1024.0);
-  if (!plan.jobs.empty()) {
-    bench::Table pt({"job", "name", "committed", "recovery"});
-    for (const auto& j : plan.jobs) {
-      pt.add_row({std::to_string(j.job_id), j.name,
-                  std::to_string(j.committed_stages),
-                  j.finished      ? "replay (finished)"
-                  : j.full_rerun  ? "full re-run"
-                                  : "adopt + continue"});
-    }
-    pt.print();
-  }
-
   const auto spec = ckpt::read_kv_snapshot(dir + "/runspec.kv");
   if (!spec) {
     std::fprintf(stderr,
@@ -1062,12 +936,56 @@ int cmd_resume(const Args& args) {
                  dir.c_str());
     return 1;
   }
-  RunSpec rs(spec->begin(), spec->end());
-  if (rs["command"] == "run") return resume_run(args, dir, plan, rs);
-  if (rs["command"] == "serve") return resume_serve(args, dir, plan, rs);
-  std::fprintf(stderr, "error: runspec has unknown command '%s'\n",
-               rs["command"].c_str());
-  return 1;
+  Args rerun;
+  for (const auto& [key, value] : *spec) {
+    const std::string flag =
+        key.starts_with(kFlagKey) ? key.substr(kFlagKey.size()) : "";
+    if (key == "command") {
+      rerun.command = value;
+    } else if (!flag.empty() && kCheckpointControlFlags.count(flag) == 0) {
+      rerun.flags[flag] = value;
+    } else {
+      // Checkpoint directories are restart-local (DESIGN.md §16.2): a
+      // snapshot this build did not write is refused, never reinterpreted.
+      std::fprintf(stderr,
+                   "error: %s/runspec.kv has unexpected key '%s' (written by "
+                   "another chopperctl build?); re-run the command instead\n",
+                   dir.c_str(), key.c_str());
+      return 1;
+    }
+  }
+  if (rerun.command != "run" && rerun.command != "serve") {
+    std::fprintf(stderr, "error: runspec has unknown command '%s'\n",
+                 rerun.command.c_str());
+    return 1;
+  }
+  rerun.flags["checkpoint"] = dir;
+  if (args.has("sync")) rerun.flags["sync"] = "1";
+  validate_flags(rerun);
+
+  std::printf(
+      "resume plan: wal epoch %zu, %zu events (%zu torn, %zu skipped), "
+      "%zu committed stage(s), %zu finished job(s), %.1f KB restorable\n",
+      plan.wal_epoch, plan.events, plan.torn_tail_lines, plan.skipped_lines,
+      plan.committed_stages, plan.finished_jobs,
+      static_cast<double>(plan.restored_bytes) / 1024.0);
+  // What each started job will do: serve re-admits finished jobs and re-runs
+  // the rest whole; run adopts a clean committed prefix unless --mem-scale
+  // enforces budgets (the engine then retains shuffles and adopts nothing).
+  const bool serve = rerun.command == "serve";
+  const bool adopts = !serve && !rerun.has("mem-scale");
+  bench::Table pt({"job", "name", "committed", "recovery"});
+  for (std::size_t id = 0; id < plan.ledger.jobs.size(); ++id) {
+    const engine::JobResume& j = plan.ledger.jobs[id];
+    if (j.replayed_events == 0) continue;  // never started before the crash
+    pt.add_row({std::to_string(id), j.name, std::to_string(j.stages.size()),
+                serve && j.finished          ? "re-admit (finished)"
+                : !adopts || j.stages.empty() ? "full re-run"
+                : j.finished                  ? "replay (finished)"
+                                              : "adopt + continue"});
+  }
+  if (!plan.ledger.jobs.empty()) pt.print();
+  return serve ? cmd_serve(rerun, &plan) : cmd_run(rerun, &plan);
 }
 
 int cmd_chaos(const Args& args) {
